@@ -17,12 +17,6 @@
 #     does not come from clock noise — it is a real regression (or a real
 #     machine change, in which case re-bless results/bench_baseline.json
 #     in the same PR).
-#
-# Parallel-driver metrics (parallel_speedup and friends) are always
-# warn-only: the epoch-barrier driver's throughput depends on host core
-# count far more than on the code (a 1-core container measures ~0.1x
-# where a real multicore host measures >1x), so gating on them would just
-# gate on the runner's shape.
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
@@ -57,19 +51,15 @@ warnings = []
 failures = []
 
 
-def check(name, base, now, lower_is_better, gate=True):
-    """Classify `now` against `base`: ok, warn past 20%, fail past 30%.
-
-    `gate=False` metrics (the host-shape-dependent parallel timings) can
-    warn but never fail.
-    """
+def check(name, base, now, lower_is_better):
+    """Classify `now` against `base`: ok, warn past 20%, fail past 30%."""
     if base is None or now is None or base <= 0:
         return
     delta = (now - base) / base
     bad = delta if lower_is_better else -delta
     arrow = "slower" if lower_is_better else "lower"
     line = f"{name}: baseline {base:g}, now {now:g} ({delta:+.1%})"
-    if bad > FAIL and gate:
+    if bad > FAIL:
         failures.append(f"{line} — more than {FAIL:.0%} {arrow}")
     elif bad > WARN:
         warnings.append(f"{line} — more than {WARN:.0%} {arrow}")
@@ -78,8 +68,7 @@ def check(name, base, now, lower_is_better, gate=True):
 
 
 if "lockstep_seconds" in summary:
-    # mesh_perf_summary.json: driver timings, their ratio, and the
-    # parallel epoch-barrier driver's speedup (warn-only).
+    # mesh_perf_summary.json: driver timings and their ratio.
     base = baseline.get("mesh", {})
     check("mesh speedup", base.get("speedup"), summary.get("speedup"), False)
     check(
@@ -94,18 +83,6 @@ if "lockstep_seconds" in summary:
         summary.get("fastforward_seconds"),
         True,
     )
-    if summary.get("parallel") == "skipped (1 core)":
-        # One-core host: the CLI skips the parallel-driver benchmark
-        # entirely (the measurement would be pure barrier overhead).
-        print("  ok  mesh parallel driver: skipped (1 core); nothing to compare")
-    else:
-        check(
-            "mesh parallel_speedup",
-            base.get("parallel_speedup"),
-            summary.get("parallel_speedup"),
-            False,
-            gate=False,
-        )
 else:
     # perf_summary.json: record/replay engine and dispatch harness.
     base = baseline.get("machine", {})

@@ -1,27 +1,17 @@
 #!/usr/bin/env bash
-# Parallel-driver determinism wall.
+# Determinism wall.
 #
 #   ci/check_determinism.sh [OUT_DIR] [NODES]
 #
 # Runs every suite program on a NODES-node mesh (default 8) under all
-# three back-ends with --threads 1, --threads 2, --threads 4, and a
-# TAMSIM_JOBS=4 override, then byte-compares everything the runs
-# produce:
-#
-#   * stdout (run summary, per-node cycle accounting) — after dropping
-#     the one header line that names the worker-thread count;
-#   * mesh_links.csv and mesh_trace.json — byte-for-byte;
-#   * profile.json — identical after removing the "parallel" object,
-#     which records the per-worker step split and so legitimately
-#     depends on the thread count.
-#
-# Any other byte of difference means the epoch-barrier driver diverged
-# from the serial loop: fail. All runs request threads explicitly, which
-# forces the untraced mode, so serial and parallel runs emit the same
-# artifact set. The open-loop serve driver gets the same treatment
-# (serve_latency/requests/depth CSVs and profile.json across
-# --threads 1/2/4). Finally the golden-figure gate re-runs under a
-# TAMSIM_JOBS override to pin the CSV pipeline itself.
+# three back-ends, plus open-loop serve legs and work-stealing legs,
+# once with TAMSIM_JOBS=1 and once with TAMSIM_JOBS=4, then
+# byte-compares everything the runs produce: stdout (run summary,
+# per-node cycle accounting), mesh_links.csv, mesh_trace.json,
+# profile.json, and the serve CSVs. TAMSIM_JOBS fans independent runs
+# across host threads (`par_map`); it must never change a byte of
+# output. Finally the golden-figure gate re-runs under a TAMSIM_JOBS
+# override to pin the CSV pipeline itself.
 set -euo pipefail
 
 out="${1:-det-out}"
@@ -29,6 +19,8 @@ nodes="${2:-8}"
 bin="${TAMSIM:-./target/release/tamsim}"
 progs=(fib MMT QS DTW Paraffins Wavefront SS)
 impls=(am am-en md)
+mesh_files=(mesh_links.csv mesh_trace.json profile.json)
+serve_files=(serve_latency.csv serve_requests.csv serve_depth.csv profile.json)
 
 if [ ! -x "$bin" ]; then
     echo "error: tamsim binary '$bin' not built (cargo build --release -p tamsim-cli)" >&2
@@ -37,155 +29,59 @@ fi
 
 rm -rf "$out"
 mkdir -p "$out"
+fail=0
 
-profiles_equal() {
-    python3 - "$1" "$2" <<'EOF'
-import json
-import sys
-
-a = json.load(open(sys.argv[1]))
-b = json.load(open(sys.argv[2]))
-a.pop("parallel", None)
-b.pop("parallel", None)
-if a != b:
-    sys.exit(1)
-EOF
+# leg NAME FILES... -- TAMSIM ARGS...: run the command under both job
+# counts into $out/NAME/jobs{1,4} and byte-compare stdout plus every
+# listed per-back-end file.
+leg() {
+    local name="$1"
+    shift
+    local files=()
+    while [ "$1" != "--" ]; do
+        files+=("$1")
+        shift
+    done
+    shift
+    mkdir -p "$out/$name"
+    for jobs in 1 4; do
+        TAMSIM_JOBS=$jobs "$bin" "$@" --out "$out/$name/jobs$jobs" \
+            >"$out/$name/jobs$jobs.stdout"
+    done
+    if ! cmp -s "$out/$name/jobs1.stdout" "$out/$name/jobs4.stdout"; then
+        echo "FAIL: $name stdout differs between TAMSIM_JOBS=1 and 4" >&2
+        diff "$out/$name/jobs1.stdout" "$out/$name/jobs4.stdout" >&2 || true
+        fail=1
+    fi
+    for imp in "${impls[@]}"; do
+        for f in "${files[@]}"; do
+            if ! cmp -s "$out/$name/jobs1/$imp/$f" "$out/$name/jobs4/$imp/$f"; then
+                echo "FAIL: $name/$imp/$f differs between TAMSIM_JOBS=1 and 4" >&2
+                fail=1
+            fi
+        done
+    done
+    echo "ok: $name byte-identical across TAMSIM_JOBS=1/4 (${#impls[@]} back-ends, $nodes nodes)"
 }
 
-fail=0
 for prog in "${progs[@]}"; do
-    mkdir -p "$out/$prog"
-    for run in t1 t2 t4 jobs4; do
-        dir="$out/$prog/$run"
-        case "$run" in
-        jobs4)
-            TAMSIM_JOBS=4 "$bin" mesh "$prog" --small --nodes "$nodes" \
-                --impl all --out "$dir" >"$dir.stdout"
-            ;;
-        *)
-            "$bin" mesh "$prog" --small --nodes "$nodes" --impl all \
-                --threads "${run#t}" --out "$dir" >"$dir.stdout"
-            ;;
-        esac
-        # The header line names the worker-thread count; every other
-        # line of stdout (cycle counts, per-node tables) must match.
-        sed '/^## mesh:/d' "$dir.stdout" >"$dir.stats"
-    done
-    for run in t2 t4 jobs4; do
-        if ! cmp -s "$out/$prog/t1.stats" "$out/$prog/$run.stats"; then
-            echo "FAIL: $prog stdout stats differ between --threads 1 and $run" >&2
-            diff "$out/$prog/t1.stats" "$out/$prog/$run.stats" >&2 || true
-            fail=1
-        fi
-        for imp in "${impls[@]}"; do
-            for f in mesh_links.csv mesh_trace.json; do
-                if ! cmp -s "$out/$prog/t1/$imp/$f" "$out/$prog/$run/$imp/$f"; then
-                    echo "FAIL: $prog/$imp/$f differs between --threads 1 and $run" >&2
-                    fail=1
-                fi
-            done
-            if ! profiles_equal "$out/$prog/t1/$imp/profile.json" \
-                "$out/$prog/$run/$imp/profile.json"; then
-                echo "FAIL: $prog/$imp/profile.json differs between --threads 1 and $run (beyond the \"parallel\" object)" >&2
-                fail=1
-            fi
-        done
-    done
-    echo "ok: $prog byte-identical across --threads 1/2/4 and TAMSIM_JOBS=4 (${#impls[@]} back-ends, $nodes nodes)"
+    leg "$prog" "${mesh_files[@]}" -- mesh "$prog" --small --nodes "$nodes" --impl all
 done
-
-# Serve mode: the open-loop request-serving driver must produce
-# byte-identical artifacts across thread counts too. Serve profiles omit
-# the "parallel" object by design, so every file byte-compares directly
-# (stdout included — the serve header does not name a thread count).
-mkdir -p "$out/serve"
-for run in t1 t2 t4; do
-    dir="$out/serve/$run"
-    "$bin" serve --rate 20 --requests 24 --seed 3 --nodes "$nodes" \
-        --impl all --threads "${run#t}" --out "$dir" >"$dir.stdout"
-done
-for run in t2 t4; do
-    if ! cmp -s "$out/serve/t1.stdout" "$out/serve/$run.stdout"; then
-        echo "FAIL: serve stdout differs between --threads 1 and $run" >&2
-        diff "$out/serve/t1.stdout" "$out/serve/$run.stdout" >&2 || true
-        fail=1
-    fi
-    for imp in "${impls[@]}"; do
-        for f in serve_latency.csv serve_requests.csv serve_depth.csv profile.json; do
-            if ! cmp -s "$out/serve/t1/$imp/$f" "$out/serve/$run/$imp/$f"; then
-                echo "FAIL: serve/$imp/$f differs between --threads 1 and $run" >&2
-                fail=1
-            fi
-        done
-    done
-done
-echo "ok: serve byte-identical across --threads 1/2/4 (${#impls[@]} back-ends, $nodes nodes)"
-
-# Work-stealing placement: --policy steal migrates frames between nodes
-# at run time, with every steal decision made in the per-cycle serial
-# phase — so its artifacts must byte-compare across thread counts just
-# like the static policies'. One batch leg (MMT, the suite's heaviest
-# communicator) and one corner-skewed serve leg (every request lands on
-# node 0 — the workload that actually triggers migrations).
-mkdir -p "$out/steal"
-for run in t1 t2 t4; do
-    dir="$out/steal/$run"
-    "$bin" mesh MMT --small --nodes "$nodes" --impl all --policy steal \
-        --threads "${run#t}" --out "$dir" >"$dir.stdout"
-    sed '/^## mesh:/d' "$dir.stdout" >"$dir.stats"
-done
-for run in t2 t4; do
-    if ! cmp -s "$out/steal/t1.stats" "$out/steal/$run.stats"; then
-        echo "FAIL: steal-policy stdout stats differ between --threads 1 and $run" >&2
-        diff "$out/steal/t1.stats" "$out/steal/$run.stats" >&2 || true
-        fail=1
-    fi
-    for imp in "${impls[@]}"; do
-        for f in mesh_links.csv mesh_trace.json; do
-            if ! cmp -s "$out/steal/t1/$imp/$f" "$out/steal/$run/$imp/$f"; then
-                echo "FAIL: steal/$imp/$f differs between --threads 1 and $run" >&2
-                fail=1
-            fi
-        done
-        if ! profiles_equal "$out/steal/t1/$imp/profile.json" \
-            "$out/steal/$run/$imp/profile.json"; then
-            echo "FAIL: steal/$imp/profile.json differs between --threads 1 and $run (beyond the \"parallel\" object)" >&2
-            fail=1
-        fi
-    done
-done
-echo "ok: mesh --policy steal byte-identical across --threads 1/2/4 (${#impls[@]} back-ends, $nodes nodes)"
-
-mkdir -p "$out/steal-serve"
-for run in t1 t2 t4; do
-    dir="$out/steal-serve/$run"
-    "$bin" serve --rate 20 --requests 24 --seed 3 --nodes "$nodes" \
-        --impl all --policy steal --origins corner \
-        --threads "${run#t}" --out "$dir" >"$dir.stdout"
-done
-for run in t2 t4; do
-    if ! cmp -s "$out/steal-serve/t1.stdout" "$out/steal-serve/$run.stdout"; then
-        echo "FAIL: steal-serve stdout differs between --threads 1 and $run" >&2
-        diff "$out/steal-serve/t1.stdout" "$out/steal-serve/$run.stdout" >&2 || true
-        fail=1
-    fi
-    for imp in "${impls[@]}"; do
-        for f in serve_latency.csv serve_requests.csv serve_depth.csv profile.json; do
-            if ! cmp -s "$out/steal-serve/t1/$imp/$f" "$out/steal-serve/$run/$imp/$f"; then
-                echo "FAIL: steal-serve/$imp/$f differs between --threads 1 and $run" >&2
-                fail=1
-            fi
-        done
-    done
-done
-echo "ok: serve --policy steal --origins corner byte-identical across --threads 1/2/4 (${#impls[@]} back-ends, $nodes nodes)"
+leg serve "${serve_files[@]}" -- serve --rate 20 --requests 24 --seed 3 \
+    --nodes "$nodes" --impl all
+# Work stealing: one batch leg (MMT, the suite's heaviest communicator)
+# and one corner-skewed serve leg (every request lands on node 0 — the
+# workload that actually triggers migrations).
+leg steal "${mesh_files[@]}" -- mesh MMT --small --nodes "$nodes" --impl all --policy steal
+leg steal-serve "${serve_files[@]}" -- serve --rate 20 --requests 24 --seed 3 \
+    --nodes "$nodes" --impl all --policy steal --origins corner
 
 if [ "$fail" -ne 0 ]; then
     echo "determinism wall: FAILED" >&2
     exit 1
 fi
 
-# The figure pipeline under a thread override: every golden CSV must
-# still match tests/golden/ byte-for-byte.
+# The figure pipeline under a job override: every golden CSV must still
+# match tests/golden/ byte-for-byte.
 TAMSIM_JOBS=2 "$(dirname "$0")/check_goldens.sh" "$out/golden-jobs2"
-echo "determinism wall: all artifacts byte-identical across thread counts"
+echo "determinism wall: all artifacts byte-identical across TAMSIM_JOBS"

@@ -661,14 +661,12 @@ fn mesh_identity_check(
 /// mesh, the smallest with multi-hop routes in both dimensions.
 const CROSS_CHECK_NODES: u32 = 4;
 
-/// Run `program` on a [`CROSS_CHECK_NODES`]-node mesh under all three
-/// drivers — PR 4's lockstep loop, the event-horizon fast-forward, and
-/// the epoch-barrier parallel driver on two worker threads — and every
-/// placement policy (including the dynamically-migrating `steal`), and
-/// require bit-identity in every observable. The
-/// fast-forward may only skip cycles that were pure no-ops, and the
-/// parallel driver's barriers may only reorder work the serial cycle
-/// already treats as unordered; any divergence here means one of them
+/// Run `program` on a [`CROSS_CHECK_NODES`]-node mesh under both
+/// drivers — the lockstep loop and the active-set driver with its
+/// event-horizon fast-forward — and every placement policy (including
+/// the dynamically-migrating `steal`), and require bit-identity in every
+/// observable. The active-set driver may only skip node steps, receive
+/// checks, and cycles that were pure no-ops; any divergence here means it
 /// broke that contract.
 fn mesh_driver_cross_check(
     program: &Program,
@@ -696,12 +694,7 @@ fn mesh_driver_cross_check(
         // proves instrumentation is invisible to the run itself.
         let fast = catch_trap(|| exp.traced(NetTraceMode::Ring(256)).run(program))
             .map_err(|trap| trap_fail(format!("fast-forward run trapped: {trap}")))?;
-        // The parallel leg fans the same run across two worker threads.
-        let par = catch_trap(|| exp.with_threads(2).run(program))
-            .map_err(|trap| trap_fail(format!("parallel run trapped: {trap}")))?;
-        for (leg, run) in [("fast-forward", &fast), ("parallel x2", &par)] {
-            mesh_runs_identical(label, leg, policy, &lock, run)?;
-        }
+        mesh_runs_identical(label, "fast-forward", policy, &lock, &fast)?;
     }
     Ok(())
 }

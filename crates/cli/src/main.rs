@@ -12,6 +12,7 @@ use tamsim_cache::{paper_sweep, CacheGeometry, PAPER_BLOCK_SWEEP};
 use tamsim_core::{Experiment, Implementation, LoweringOptions};
 use tamsim_metrics as metrics;
 use tamsim_metrics::{SuiteData, Table};
+use tamsim_net::MAX_NODES;
 use tamsim_obs::Manifest;
 use tamsim_programs::PaperBenchmark;
 use tamsim_tam::Program;
@@ -35,8 +36,8 @@ const COMMANDS: &[(&str, &str)] = &[
     ),
     (
         "mesh PROG",
-        "run one program on a multi-node mesh (--nodes, --impl, --policy rr|local|steal, \
-         --threads N); writes mesh_trace.json",
+        "run one program on a multi-node mesh (--nodes, --impl, --policy rr|local|steal); \
+         writes mesh_trace.json",
     ),
     (
         "serve [PROG]",
@@ -77,8 +78,8 @@ fn help_text() -> String {
          --small        run the reduced-size suite (fast smoke run)\n  \
          --out DIR      write outputs under DIR (default: results)\n  \
          --impl IMPL    profile/mesh: am | am-en | md | all (default: am)\n  \
-         --nodes N      mesh, serve, perf --mesh: node count, factored into a near-square \
-         mesh (default: 4)\n  \
+         --nodes N      mesh, serve, perf --mesh: node count, 1..=256, factored into a \
+         near-square mesh (default: 4)\n  \
          --policy P     mesh, serve: frame placement, rr | local | steal (default: rr)\n  \
          --rate R       serve only: offered load, requests per 1000 cycles (default: 20)\n  \
          --requests N   serve only: total requests to inject (default: 32)\n  \
@@ -91,14 +92,10 @@ fn help_text() -> String {
          --shrink       fuzz only: minimize the first failure and write a reproducer\n  \
          --mutate       fuzz only: seed a deliberate MD bug (harness self-test)\n  \
          --mesh         fuzz: also cross-check the mesh (bit-identity, lockstep vs \
-         fast-forward); perf: benchmark the mesh drivers\n  \
+         active-set); perf: benchmark the mesh drivers and ns per cycle across mesh sizes\n  \
          --trace-net    mesh only: full causal message tracing (per-message lifecycle \
          records, flow arrows in mesh_trace.json, occupancy counters); without it a \
          bounded ring still feeds the latency histograms\n  \
-         --threads N    mesh, serve, perf --mesh: host worker threads for the parallel driver \
-         (TAMSIM_JOBS is honoured when the flag is absent); results are bit-identical \
-         at every thread count, but message tracing is off, so the latency histograms \
-         are skipped; incompatible with --trace-net\n  \
          --no-predecode run/profile/mesh/perf: interpret with the baseline enum-walking \
          dispatch instead of the pre-decoded path (escape hatch; results are \
          bit-identical); fuzz: skip the dispatch cross-check\n  \
@@ -124,7 +121,6 @@ struct Args {
     mesh: bool,
     no_predecode: bool,
     trace_net: bool,
-    threads: Option<u32>,
     command: Option<String>,
     extra: Vec<String>,
 }
@@ -136,18 +132,6 @@ impl Args {
             predecode: !self.no_predecode,
             ..LoweringOptions::default()
         }
-    }
-
-    /// Worker-thread request for mesh runs: explicit `--threads` wins,
-    /// else the `TAMSIM_JOBS` environment override, else `None` (serial,
-    /// with the default ring-traced latency histograms).
-    fn mesh_threads(&self) -> Option<u32> {
-        self.threads.or_else(|| {
-            std::env::var("TAMSIM_JOBS")
-                .ok()
-                .and_then(|s| s.trim().parse::<u32>().ok())
-                .filter(|&n| n > 0)
-        })
     }
 }
 
@@ -186,7 +170,6 @@ fn parse_args() -> Args {
     let mut mesh = false;
     let mut no_predecode = false;
     let mut trace_net = false;
-    let mut threads = None::<u32>;
     let mut command = None::<String>;
     let mut extra = Vec::new();
     let mut it = std::env::args().skip(1);
@@ -196,7 +179,16 @@ fn parse_args() -> Args {
             "--out" => out = PathBuf::from(need(&mut it, "--out", "a directory argument")),
             "--impl" => impl_ = need(&mut it, "--impl", "a value (am | am-en | md | all)"),
             "--nodes" => {
-                nodes = numeric("--nodes", &need(&mut it, "--nodes", "a node count")) as u32
+                let v = numeric("--nodes", &need(&mut it, "--nodes", "a node count"));
+                nodes = u32::try_from(v)
+                    .ok()
+                    .filter(|n| (1..=MAX_NODES).contains(n))
+                    .unwrap_or_else(|| {
+                        eprintln!(
+                            "error: flag '--nodes' needs a node count in 1..={MAX_NODES}, got {v}"
+                        );
+                        std::process::exit(2);
+                    });
             }
             "--policy" => policy = need(&mut it, "--policy", "a value (rr | local | steal)"),
             "--rate" => {
@@ -221,10 +213,6 @@ fn parse_args() -> Args {
             "--mesh" => mesh = true,
             "--no-predecode" => no_predecode = true,
             "--trace-net" => trace_net = true,
-            "--threads" => {
-                threads =
-                    Some(numeric("--threads", &need(&mut it, "--threads", "a thread count")) as u32)
-            }
             "--help" | "-h" => {
                 print!("{}", help_text());
                 std::process::exit(0);
@@ -259,7 +247,6 @@ fn parse_args() -> Args {
         mesh,
         no_predecode,
         trace_net,
-        threads,
         command,
         extra,
     }
@@ -489,45 +476,26 @@ fn run_mesh(args: &Args) {
     });
     let single = impls.len() == 1;
 
-    // `--threads` (or TAMSIM_JOBS) selects the parallel driver family,
-    // which is untraced: the run keeps every always-on observable
-    // (bit-identical to serial at any thread count) but skips message
-    // lifecycle records, so the latency histograms are absent. Without a
-    // thread request the serial driver runs with the default bounded
-    // ring feeding the histograms.
-    let threads = args.mesh_threads();
-    if args.trace_net && threads.is_some_and(|t| t > 1) {
-        eprintln!(
-            "error: --trace-net needs the serial driver; drop --threads (or unset TAMSIM_JOBS)"
-        );
-        std::process::exit(2);
-    }
+    // A bounded ring feeds the latency histograms by default.
     let mode = if args.trace_net {
         NetTraceMode::Full
-    } else if threads.is_some() {
-        NetTraceMode::Off
     } else {
         NetTraceMode::Ring(2048)
     };
     for &impl_ in &impls {
         let mut exp = MeshExperiment::new(impl_, args.nodes)
             .with_placement(policy)
-            .with_threads(threads.unwrap_or(1))
             .traced(mode);
         exp.opts = args.opts();
         let r = exp.run(&program);
         println!(
-            "## mesh: {} ({}) on {} node(s) [{}x{}], policy {}{}\n",
+            "## mesh: {} ({}) on {} node(s) [{}x{}], policy {}\n",
             program.name,
             impl_.label(),
             r.nodes,
             r.width,
             r.height,
             r.policy.label(),
-            match &r.thread_stats {
-                Some(ts) => format!(", {} worker thread(s)", ts.len()),
-                None => String::new(),
-            }
         );
         println!(
             "cycles {}  instructions {}  halt {:?}  messages {} ({} words, {} hops)  \
@@ -618,7 +586,6 @@ fn run_mesh(args: &Args) {
                     }
                     .to_string(),
                 ),
-                ("threads".to_string(), threads.unwrap_or(1).to_string()),
             ],
             started,
         );
@@ -637,8 +604,8 @@ const SERVE_PROGRAM_SEED: u64 = 0x5345_5256;
 
 /// `tamsim serve [PROG] [--rate R] [--requests N] [--seed S]
 /// [--arrivals poisson|fixed] [--origins uniform|corner] [--nodes N]
-/// [--impl am|am-en|md|all] [--policy rr|local|steal] [--threads N]
-/// [--out DIR]`: open-loop request
+/// [--impl am|am-en|md|all] [--policy rr|local|steal] [--out DIR]`:
+/// open-loop request
 /// serving on a mesh. A deterministic arrival process injects independent
 /// requests — invocations of PROG's `main`, or of a small generated
 /// call-DAG program (the fuzz generator's validated builder) when PROG is
@@ -648,8 +615,8 @@ const SERVE_PROGRAM_SEED: u64 = 0x5345_5256;
 /// row), `serve_requests.csv` (per-request lifecycle),
 /// `serve_depth.csv` (per-node outstanding-request timeline),
 /// `profile.json` (with a `serve` object), and `manifest.json`. Records
-/// are bit-identical across lockstep, fast-forward, and any `--threads`
-/// count, so every artifact byte-compares across drivers.
+/// are bit-identical across the lockstep and active-set drivers, so
+/// every artifact byte-compares across them.
 fn run_serve(args: &Args) {
     use tamsim_net::{ArrivalKind, MeshExperiment, OriginDist, PlacementPolicy, ServeConfig};
     let started = Instant::now();
@@ -696,12 +663,9 @@ fn run_serve(args: &Args) {
         kind,
         origins,
     };
-    let threads = args.mesh_threads();
     let single = impls.len() == 1;
     for &impl_ in &impls {
-        let mut exp = MeshExperiment::new(impl_, args.nodes)
-            .with_placement(policy)
-            .with_threads(threads.unwrap_or(1));
+        let mut exp = MeshExperiment::new(impl_, args.nodes).with_placement(policy);
         exp.opts = args.opts();
         let r = exp.serve(&program, &cfg);
         println!(
@@ -779,7 +743,6 @@ fn run_serve(args: &Args) {
                     "steals".to_string(),
                     r.mesh.steals.iter().sum::<u64>().to_string(),
                 ),
-                ("threads".to_string(), threads.unwrap_or(1).to_string()),
             ],
             started,
         );
@@ -1001,15 +964,15 @@ fn run_perf(suite: &[PaperBenchmark], small: bool, dir: &Path, opts: LoweringOpt
 }
 
 /// `tamsim perf --mesh`: benchmark the mesh drivers — the cycle-by-cycle
-/// lockstep loop against the event-horizon fast-forward — on the suite's
-/// recorded mesh cache sweep, check the two drivers render byte-identical
-/// mesh-cache CSVs, and leave `DIR/mesh_perf_summary.json` beside
+/// lockstep loop against the active-set driver — on the suite's recorded
+/// mesh cache sweep, check the two drivers render byte-identical
+/// mesh-cache CSVs, measure host ns per simulated cycle of MMT under MD
+/// at 4/16/64/256 nodes, and leave `DIR/mesh_perf_summary.json` beside
 /// `perf_summary.json`.
 fn run_mesh_perf(
     suite: &[PaperBenchmark],
     small: bool,
     nodes: u32,
-    threads: u32,
     dir: &Path,
     opts: LoweringOptions,
 ) {
@@ -1031,34 +994,26 @@ fn run_mesh_perf(
         metrics::mesh_machine_seconds_with_opts(&progs, &node_counts, true, opts);
     eprintln!("  fast-forward driver : {fastforward_seconds:.3} s");
 
-    // The parallel driver against its own one-thread baseline, both runs
-    // timed without the outer run-level pool, so the ratio isolates what
-    // the epoch-barrier fan-out buys (or costs, on a single-core host).
-    // Measured on a wide mesh — at least 64 nodes — because that is the
-    // regime the parallel driver exists for: each barrier round then
-    // carries 64+ node-steps of work, instead of being dominated by the
-    // round-trip itself as a 4-node mesh would be. On a one-core host
-    // the measurement is pure barrier overhead masquerading as a
-    // slowdown, so it is skipped and recorded as such.
-    let par_nodes = nodes.max(64);
+    // Per-cycle driver cost as the mesh widens: the same MMT run on 4
+    // to 256 nodes. Cycles stay nearly flat while idle nodes multiply, so
+    // a flat ns/cycle means idle nodes cost nothing.
+    let mmt = &suite
+        .iter()
+        .find(|b| b.name == "MMT")
+        .expect("the suite includes MMT")
+        .program;
+    let cost = metrics::mesh_cycle_cost(mmt, &metrics::MESH_COST_SWEEP, opts);
+    for c in &cost {
+        eprintln!(
+            "  MMT on {:>3} nodes    : {:.3} s, {:.0} ns/cycle",
+            c.nodes,
+            c.seconds,
+            c.ns_per_cycle()
+        );
+    }
     let host_cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let parallel = if host_cores > 1 {
-        let serial_onethread_seconds =
-            metrics::mesh_parallel_seconds_with_opts(&progs, &[par_nodes], 1, opts);
-        let parallel_seconds =
-            metrics::mesh_parallel_seconds_with_opts(&progs, &[par_nodes], threads, opts);
-        let parallel_speedup = serial_onethread_seconds / parallel_seconds;
-        eprintln!(
-            "  parallel driver     : {parallel_seconds:.3} s ({threads} threads, {par_nodes} \
-             nodes, {parallel_speedup:.2}x vs 1 thread, {host_cores} host core(s))"
-        );
-        Some((serial_onethread_seconds, parallel_seconds, parallel_speedup))
-    } else {
-        eprintln!("  parallel driver     : skipped (1 core)");
-        None
-    };
 
     // Recorded-replay: the mesh cache sweep's production path — record
     // per-node traces under each driver, replay into all 24 geometries.
@@ -1104,33 +1059,38 @@ fn run_mesh_perf(
     );
     println!("events recorded             : {:>8}", fast_perf.events);
     println!("speedup                     : {speedup:>8.2}x");
-    match parallel {
-        Some((_, parallel_seconds, parallel_speedup)) => {
-            println!("parallel driver ({threads} threads) : {parallel_seconds:>8.3} s");
-            println!("parallel speedup (vs 1 thr) : {parallel_speedup:>8.2}x");
-        }
-        None => println!("parallel driver             : skipped (1 core)"),
+    println!("\n## perf: MMT under MD, host ns per simulated cycle\n");
+    for c in &cost {
+        println!(
+            "{:>3} nodes : {:>8.3} s  {:>9} cycles  {:>8.0} ns/cycle",
+            c.nodes,
+            c.seconds,
+            c.cycles,
+            c.ns_per_cycle()
+        );
     }
-
-    // The parallel block is numeric when measured, or the literal skip
-    // marker on a one-core host — ci/bench_compare.sh treats the absent
-    // numeric fields as "nothing to compare".
-    let parallel_json = match parallel {
-        Some((serial_onethread_seconds, parallel_seconds, parallel_speedup)) => format!(
-            "\"serial_onethread_seconds\": {serial_onethread_seconds:.6},\n  \
-             \"parallel_seconds\": {parallel_seconds:.6},\n  \
-             \"parallel_threads\": {threads},\n  \"parallel_nodes\": {par_nodes},\n  \
-             \"parallel_speedup\": {parallel_speedup:.3}"
-        ),
-        None => "\"parallel\": \"skipped (1 core)\"".to_string(),
-    };
+    let scaling_json = cost
+        .iter()
+        .map(|c| {
+            format!(
+                "{{\"nodes\": {}, \"cycles\": {}, \"instructions\": {}, \"seconds\": {:.6}, \
+                 \"ns_per_cycle\": {:.1}}}",
+                c.nodes,
+                c.cycles,
+                c.instructions,
+                c.seconds,
+                c.ns_per_cycle()
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",\n    ");
     let json = format!(
         "{{\n  \"suite\": \"{}\",\n  \"programs\": {},\n  \"implementations\": 2,\n  \
          \"nodes\": {},\n  \"events_recorded\": {},\n  \
          \"lockstep_seconds\": {:.6},\n  \"fastforward_seconds\": {:.6},\n  \
          \"recorded_seconds\": {:.6},\n  \"replay_seconds\": {:.6},\n  \
          \"speedup\": {:.3},\n  \
-         {},\n  \"host_cores\": {},\n  \
+         \"mmt_cycle_cost\": [\n    {}\n  ],\n  \"host_cores\": {},\n  \
          \"predecode\": {},\n  \"identical_csv\": true\n}}\n",
         if small { "small" } else { "paper" },
         progs.len(),
@@ -1141,7 +1101,7 @@ fn run_mesh_perf(
         fast_perf.machine_seconds,
         fast_perf.replay_seconds,
         speedup,
-        parallel_json,
+        scaling_json,
         host_cores,
         opts.predecode,
     );
@@ -1291,10 +1251,7 @@ fn main() {
     let dir = args.out.clone();
     if command == "perf" {
         if args.mesh {
-            // Two worker threads by default: the smallest parallel
-            // configuration, meaningful even on modest CI hosts.
-            let threads = args.mesh_threads().unwrap_or(2).max(2);
-            run_mesh_perf(&suite, args.small, args.nodes, threads, &dir, args.opts());
+            run_mesh_perf(&suite, args.small, args.nodes, &dir, args.opts());
         } else {
             run_perf(&suite, args.small, &dir, args.opts());
         }
@@ -1510,14 +1467,13 @@ fn main() {
             "Mesh link telemetry: fib under MD on 4 nodes (golden-pinned)",
             &metrics::mesh_links_table(&links_run),
         );
-        // Node-count scaling sweep, 1 → 256 nodes under the parallel
-        // driver: cycles, traffic, and the per-worker step split are all
-        // bit-deterministic (tests/golden/mesh_scaling.csv); wall-clock
-        // speedup lives in mesh_perf_summary.json instead. Always the
-        // small program variants: the sweep studies topology (how work
-        // and traffic spread as the mesh widens), where program size
-        // only multiplies wall time — 256 nodes x 4 emulated threads of
-        // paper-size MMT takes minutes on a small host.
+        // Node-count scaling sweep, 1 → 256 nodes: cycles, traffic, and
+        // the per-chunk step split of a static 4-way node partition are
+        // all bit-deterministic (tests/golden/mesh_scaling.csv); host
+        // cost per cycle lives in mesh_perf_summary.json instead. Always
+        // the small program variants: the sweep studies topology (how
+        // work and traffic spread as the mesh widens), where program size
+        // only multiplies wall time.
         let scale_fib = tamsim_programs::fib(8);
         let scale_suite = tamsim_programs::small_suite();
         let mut scale_progs: Vec<(&str, &Program)> = vec![("fib", &scale_fib)];
@@ -1531,7 +1487,7 @@ fn main() {
             "mesh_scaling",
             &format!(
                 "Mesh scaling sweep: MD cycles, traffic, and worker balance to 256 nodes \
-                 ({} threads, small workloads)",
+                 ({}-chunk static partition, small workloads)",
                 metrics::MESH_SCALING_THREADS
             ),
             &metrics::mesh_scaling(&scale_progs, &metrics::MESH_SCALING_SWEEP),
@@ -1540,7 +1496,7 @@ fn main() {
         // three offered loads under every back-end — one below saturation
         // (latency ≈ service time), one near it, one far past it
         // (queueing-dominated tail). Completion records are bit-identical
-        // across drivers and thread counts, so the CSV is golden-gated
+        // across drivers and TAMSIM_JOBS settings, so the CSV is golden-gated
         // (tests/golden/serve_latency.csv).
         {
             use tamsim_net::{
@@ -1637,6 +1593,5 @@ mod tests {
         assert!(help.contains("fuzz, serve: master seed"));
         assert!(help.contains("mesh, serve: frame placement"));
         assert!(help.contains("mesh, serve, perf --mesh: node count"));
-        assert!(help.contains("mesh, serve, perf --mesh: host worker threads"));
     }
 }

@@ -24,8 +24,8 @@ pub use disasm::{disasm_op, disasm_region};
 pub use hooks::{Hooks, NoHooks, SinkHooks};
 pub use isa::{AluOp, FAluOp, MOp, Mark, Operand, Priority, Reg, SendSrc};
 pub use machine::{
-    HaltReason, HaltSet, Loopback, Machine, MachineConfig, NetPort, RouteOutcome, RunError,
-    RunStats, Step, SysLayout, Wake,
+    HaltReason, Loopback, Machine, MachineConfig, NetPort, RouteOutcome, RunError, RunStats, Step,
+    SysLayout,
 };
 pub use memory::Memory;
 pub use queue::{MessageQueue, MsgRef, DEFAULT_QUEUE_WORDS};

@@ -142,19 +142,6 @@ pub enum Step {
     Halted(HaltReason),
 }
 
-/// When a machine can next make progress (see [`Machine::next_wake`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Wake {
-    /// A step can do work in the current cycle: a context holds a pc
-    /// (running, or retrying a blocked `SEND`) or a queue holds a
-    /// dispatchable message.
-    Now,
-    /// Only an external delivery can wake this machine: both contexts are
-    /// suspended and both queues are empty. An event-driven driver may
-    /// fast-forward over such a machine without changing its behaviour.
-    OnDelivery,
-}
-
 /// Where a send's message went, as decided by a [`NetPort`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteOutcome {
@@ -392,30 +379,20 @@ impl<'c> Machine<'c> {
 
     /// Whether both contexts are suspended and both queues empty: no step
     /// can make progress until a message arrives from outside.
+    ///
+    /// A machine has no internal timers, so an event-driven driver may skip
+    /// an idle machine's steps without changing its behaviour: a step
+    /// would return [`Step::Idle`] and touch nothing. Otherwise a step can
+    /// do something *this* cycle (a context is live, a message is queued,
+    /// or a blocked `SEND` must retry). A low-priority suspend is not a
+    /// wake-up source by itself: the AM scheduler's re-arm condition is
+    /// message arrival (the mesh NI checks [`Machine::low_suspended`] on
+    /// delivery).
     pub fn is_idle(&self) -> bool {
         self.high_pc.is_none()
             && self.low_pc.is_none()
             && self.queues[0].is_empty()
             && self.queues[1].is_empty()
-    }
-
-    /// The machine's next wake-up, for event-driven drivers.
-    ///
-    /// A machine has no internal timers: either a step can do something
-    /// *this* cycle ([`Wake::Now`] — a context is live, a message is
-    /// queued, or a blocked `SEND` must retry), or nothing short of an
-    /// external delivery can ever wake it ([`Wake::OnDelivery`]). Note
-    /// that a low-priority suspend is not a wake-up source by itself: the
-    /// AM scheduler's re-arm condition is message arrival (the mesh NI
-    /// checks [`Machine::low_suspended`] on delivery), so a driver may
-    /// skip cycles for an idle machine without consulting the scheduler
-    /// state.
-    pub fn next_wake(&self) -> Wake {
-        if self.is_idle() {
-            Wake::OnDelivery
-        } else {
-            Wake::Now
-        }
     }
 
     /// Message dispatches so far, by priority. A mesh driver snapshots
@@ -1402,115 +1379,6 @@ impl<'c> Machine<'c> {
             Priority::High => self.high_pc = Some(pc),
             Priority::Low => self.low_pc = Some(pc),
         }
-    }
-
-    /// Whether the *next* [`Machine::step`] could possibly execute
-    /// [`MOp::Halt`] (or panic on a wild pc).
-    ///
-    /// Within one step the only free transitions are message dispatch and
-    /// [`MOp::Mark`], so the step halts iff the Mark-chain from the pc it
-    /// ends up executing reaches a `Halt` — which [`HaltSet`] precomputes
-    /// per code address. The pc is found by replaying the step loop's
-    /// dispatch decision without side effects:
-    ///
-    /// 1. a running high context executes from `high_pc`;
-    /// 2. otherwise a pending high message dispatches (when the low
-    ///    context is suspended or interruptible) to the handler named by
-    ///    the queue-head's first word;
-    /// 3. otherwise a running low context executes from `low_pc`;
-    /// 4. otherwise a pending low message dispatches likewise;
-    /// 5. otherwise the step is `Idle` and cannot halt.
-    ///
-    /// Mark never changes queues or the interrupt flag, so the dispatch
-    /// decision is stable across the chain and one lookup suffices. The
-    /// answer may be a false positive (pc chains out of the image — real
-    /// execution would panic; a concurrent driver must reproduce that
-    /// panic deterministically too, so it treats "might halt" as "run
-    /// this machine serially") but never a false negative. Identical for
-    /// the baseline and pre-decoded interpreters: both read the same pc
-    /// stream and neither fuses `Halt`.
-    pub fn might_halt(&self, halts: &HaltSet) -> bool {
-        if let Some(pc) = self.high_pc {
-            return halts.reaches_halt(pc);
-        }
-        let high_q = &self.queues[Priority::High.index()];
-        if !high_q.is_empty() && (self.low_pc.is_none() || self.ints_enabled) {
-            let m = high_q.front().expect("non-empty queue has a front");
-            let handler = self.mem.read(high_q.addr_of(m.start, 0)).as_addr();
-            return halts.reaches_halt(handler);
-        }
-        if let Some(pc) = self.low_pc {
-            return halts.reaches_halt(pc);
-        }
-        let low_q = &self.queues[Priority::Low.index()];
-        if !low_q.is_empty() {
-            let m = low_q.front().expect("non-empty queue has a front");
-            let handler = self.mem.read(low_q.addr_of(m.start, 0)).as_addr();
-            return halts.reaches_halt(handler);
-        }
-        false
-    }
-}
-
-/// Per-address "can a step starting here halt?" bitmap over a
-/// [`CodeImage`], for concurrent mesh drivers.
-///
-/// `reaches_halt(pc)` is true iff executing from `pc` can reach
-/// [`MOp::Halt`] through free transitions alone — that is, the op at `pc`
-/// is `Halt`, or it is [`MOp::Mark`] and the chain from `pc + 4` reaches
-/// one (Mark does not end a step). Addresses outside the image are
-/// conservatively true: real execution panics on the wild jump, and the
-/// caller must funnel that machine onto the deterministic serial path so
-/// the panic reproduces identically.
-#[derive(Debug, Clone)]
-pub struct HaltSet {
-    sys_base: u32,
-    user_base: u32,
-    sys: Vec<bool>,
-    user: Vec<bool>,
-}
-
-impl HaltSet {
-    /// Precompute the halt-reachability bitmap for `code`.
-    pub fn new(code: &CodeImage) -> Self {
-        HaltSet {
-            sys_base: code.sys_base(),
-            user_base: code.user_base(),
-            sys: Self::chain(code.sys_ops()),
-            user: Self::chain(code.user_ops()),
-        }
-    }
-
-    /// Reverse scan: `ha[i] = op[i] == Halt || (op[i] == Mark && ha[i+1])`,
-    /// with a Mark falling off the region end conservatively true (real
-    /// execution would wild-jump).
-    fn chain(ops: &[MOp]) -> Vec<bool> {
-        let mut ha = vec![false; ops.len()];
-        for i in (0..ops.len()).rev() {
-            ha[i] = match ops[i] {
-                MOp::Halt => true,
-                MOp::Mark(_) => i + 1 >= ops.len() || ha[i + 1],
-                _ => false,
-            };
-        }
-        ha
-    }
-
-    /// Whether a step starting at `pc` can execute `Halt` (conservatively
-    /// true outside the image). Uses the same `(pc - base) / 4` index
-    /// truncation as [`CodeImage::at`], so unaligned fuzz-generated pcs
-    /// resolve to exactly the op real execution would run.
-    #[inline]
-    pub fn reaches_halt(&self, pc: u32) -> bool {
-        let (base, region) = if pc >= self.user_base {
-            (self.user_base, &self.user)
-        } else if pc >= self.sys_base {
-            (self.sys_base, &self.sys)
-        } else {
-            return true;
-        };
-        let i = ((pc - base) / 4) as usize;
-        region.get(i).copied().unwrap_or(true)
     }
 }
 
@@ -2794,104 +2662,5 @@ mod tests {
             msg.contains("wild jump to") && msg.contains("(user code)"),
             "got: {msg}"
         );
-    }
-
-    #[test]
-    fn halt_set_follows_mark_chains() {
-        let (img, entry) = user_image(vec![
-            /* 0 */ MOp::Mark(Mark::SysStart),
-            /* 1 */ MOp::Mark(Mark::ThreadEnd),
-            /* 2 */ MOp::Halt,
-            /* 3 */
-            MOp::MovI {
-                d: Reg(0),
-                v: Word::ZERO,
-            },
-            /* 4 */ MOp::Suspend,
-            /* 5 */ MOp::Mark(Mark::SysStart), // chains off the region end
-        ]);
-        let halts = HaltSet::new(&img);
-        // Mark, Mark, Halt: every chain position reaches the halt.
-        assert!(halts.reaches_halt(entry));
-        assert!(halts.reaches_halt(entry + 4));
-        assert!(halts.reaches_halt(entry + 8));
-        // A costed instruction ends the step before any halt.
-        assert!(!halts.reaches_halt(entry + 12));
-        assert!(!halts.reaches_halt(entry + 16));
-        // Mark falling off the image end: conservatively true (wild jump).
-        assert!(halts.reaches_halt(entry + 20));
-        // Out-of-image pcs: conservatively true.
-        assert!(halts.reaches_halt(entry + 0x400));
-        assert!(halts.reaches_halt(map().system_code_base + 0x400));
-    }
-
-    #[test]
-    fn might_halt_replays_the_dispatch_decision() {
-        let (img, entry) = user_image(vec![
-            /* 0: halting handler */ MOp::Mark(Mark::SysStart),
-            /* 1 */ MOp::Halt,
-            /* 2: benign handler */ MOp::Suspend,
-        ]);
-        let halts = HaltSet::new(&img);
-        let halting = entry;
-        let benign = entry + 8;
-
-        // Idle machine: a step returns Idle, never Halted.
-        let mut m = Machine::new(MachineConfig::default(), &img);
-        assert!(!m.might_halt(&halts));
-
-        // Running low context on a benign pc vs. a halting pc.
-        m.start_low(benign);
-        assert!(!m.might_halt(&halts));
-        m.start_low(halting);
-        assert!(m.might_halt(&halts));
-
-        // A queued low message is consulted only when no context runs:
-        // handler word decides.
-        let mut m = Machine::new(MachineConfig::default(), &img);
-        m.inject(Priority::Low, &[Word::from_addr(benign)]).unwrap();
-        assert!(!m.might_halt(&halts));
-        let mut m = Machine::new(MachineConfig::default(), &img);
-        m.inject(Priority::Low, &[Word::from_addr(halting)])
-            .unwrap();
-        assert!(m.might_halt(&halts));
-
-        // A pending high message preempts an interruptible low context.
-        let mut m = Machine::new(MachineConfig::default(), &img);
-        m.start_low(benign);
-        m.inject(Priority::High, &[Word::from_addr(halting)])
-            .unwrap();
-        assert!(m.might_halt(&halts));
-
-        // Verdicts match actual execution.
-        let mut yes = Machine::new(MachineConfig::default(), &img);
-        yes.start_low(halting);
-        assert!(matches!(
-            yes.step(&mut NoHooks, &mut Loopback).unwrap(),
-            Step::Halted(HaltReason::Explicit)
-        ));
-        let mut no = Machine::new(MachineConfig::default(), &img);
-        no.start_low(benign);
-        assert!(!matches!(
-            no.step(&mut NoHooks, &mut Loopback).unwrap(),
-            Step::Halted(_)
-        ));
-    }
-
-    #[test]
-    fn might_halt_respects_disabled_interrupts() {
-        let (img, entry) = user_image(vec![
-            /* 0: halting high handler */ MOp::Halt,
-            /* 1: benign low code */ MOp::Suspend,
-        ]);
-        let halts = HaltSet::new(&img);
-        let mut m = Machine::new(MachineConfig::default(), &img);
-        m.start_low(entry + 4);
-        m.inject(Priority::High, &[Word::from_addr(entry)]).unwrap();
-        // Interrupts enabled: the high dispatch fires next step.
-        assert!(m.might_halt(&halts));
-        // Disabled: the low context runs instead.
-        m.ints_enabled = false;
-        assert!(!m.might_halt(&halts));
     }
 }

@@ -127,21 +127,35 @@ pub fn mesh_sweep(programs: &[(&str, &Program)], node_counts: &[u32]) -> Table {
 /// of the widened 8-bit node tag.
 pub const MESH_SCALING_SWEEP: [u32; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 256];
 
-/// Worker-thread count the golden scaling sweep pins its per-thread
-/// columns to. The columns depend on the thread count (chunking) but not
-/// on the host — the parallel driver is bit-deterministic — so the CSV
-/// stays golden-gateable on any machine.
+/// Worker count of the golden scaling sweep's static partition: the
+/// per-worker columns split the nodes into this many contiguous chunks.
 pub const MESH_SCALING_THREADS: u32 = 4;
 
+/// Instructions per worker when `stats` (one entry per node) is split
+/// into `min(MESH_SCALING_THREADS, nodes)` contiguous chunks, worker `t`
+/// owning nodes `t*k/T .. (t+1)*k/T` — a static partition of the mesh, as
+/// a node-partitioned host would divide it.
+fn worker_steps(stats: &[tamsim_mdp::RunStats]) -> Vec<u64> {
+    let k = stats.len();
+    let workers = k.min(MESH_SCALING_THREADS as usize);
+    (0..workers)
+        .map(|t| {
+            stats[t * k / workers..(t + 1) * k / workers]
+                .iter()
+                .map(|s| s.instructions)
+                .sum()
+        })
+        .collect()
+}
+
 /// The 1 → 256-node scaling sweep behind `tests/golden/mesh_scaling.csv`:
-/// one row per (program, node count) under MD, run by the parallel driver
-/// at [`MESH_SCALING_THREADS`] workers. Cycles, traffic, and the
-/// per-worker step split are all bit-deterministic; the CSV carries no
-/// wall-clock (timing lives in `mesh_perf_summary.json`).
+/// one row per (program, node count) under MD. Cycles, traffic, and the
+/// per-worker step split over a static partition of
+/// [`MESH_SCALING_THREADS`] contiguous node chunks are all
+/// bit-deterministic; the CSV carries no wall-clock.
 ///
-/// `balance` is max/min instructions across workers — the load-imbalance
-/// figure that bounds the parallel driver's achievable speedup on this
-/// workload.
+/// `balance` is max/min instructions across the partition's chunks — how
+/// unevenly this workload's work falls on a node-partitioned mesh.
 pub fn mesh_scaling(programs: &[(&str, &Program)], node_counts: &[u32]) -> Table {
     let jobs: Vec<(usize, u32)> = programs
         .iter()
@@ -149,9 +163,7 @@ pub fn mesh_scaling(programs: &[(&str, &Program)], node_counts: &[u32]) -> Table
         .flat_map(|(pi, _)| node_counts.iter().map(move |&n| (pi, n)))
         .collect();
     let runs = tamsim_trace::par_map(jobs, |(pi, n)| {
-        MeshExperiment::new(Implementation::Md, n)
-            .with_threads(MESH_SCALING_THREADS)
-            .run(programs[pi].1)
+        MeshExperiment::new(Implementation::Md, n).run(programs[pi].1)
     });
 
     let mut t = Table::new(&[
@@ -170,16 +182,12 @@ pub fn mesh_scaling(programs: &[(&str, &Program)], node_counts: &[u32]) -> Table
     for (name, _) in programs {
         for &n in node_counts {
             let r = it.next().unwrap();
-            // Serial runs (1 node or 1 thread) report no per-thread split;
-            // treat them as one worker owning everything.
-            let (workers, min_steps, max_steps) = match &r.thread_stats {
-                Some(ts) => (
-                    ts.len() as u64,
-                    ts.iter().map(|t| t.steps).min().unwrap_or(0),
-                    ts.iter().map(|t| t.steps).max().unwrap_or(0),
-                ),
-                None => (1, r.instructions, r.instructions),
-            };
+            let steps = worker_steps(&r.stats);
+            let (workers, min_steps, max_steps) = (
+                steps.len(),
+                steps.iter().copied().min().unwrap_or(0),
+                steps.iter().copied().max().unwrap_or(0),
+            );
             t.row(vec![
                 name.to_string(),
                 n.to_string(),
@@ -401,31 +409,53 @@ pub fn mesh_machine_seconds_with_opts(
     seconds
 }
 
-/// Wall seconds for one MD pass over the suite with each mesh run fanned
-/// across `threads` worker threads internally. The runs execute one at a
-/// time — no outer pool — so the measurement isolates the parallel
-/// driver's own speedup (or overhead, on a single-core host) instead of
-/// mixing it with run-level parallelism. Unlike the cache-sweep timings
-/// this is a driver benchmark, not a cache study, so one implementation
-/// and one placement policy suffice; the full matrix would only multiply
-/// the wall time without changing the speedup ratio.
-pub fn mesh_parallel_seconds_with_opts(
-    programs: &[(&str, &Program)],
-    node_counts: &[u32],
-    threads: u32,
-    opts: tamsim_core::LoweringOptions,
-) -> f64 {
-    let t0 = Instant::now();
-    for (_, program) in programs {
-        for &n in node_counts {
-            let mut exp = MeshExperiment::new(Implementation::Md, n)
-                .with_placement(PlacementPolicy::RoundRobin)
-                .with_threads(threads);
-            exp.opts = opts;
-            assert!(exp.run(program).cycles > 0);
-        }
+/// Node counts of the per-cycle cost sweep in `tamsim perf --mesh`.
+pub const MESH_COST_SWEEP: [u32; 4] = [4, 16, 64, 256];
+
+/// One row of [`mesh_cycle_cost`].
+#[derive(Debug, Clone, Copy)]
+pub struct MeshCycleCost {
+    /// Node count.
+    pub nodes: u32,
+    /// Simulated global cycles.
+    pub cycles: u64,
+    /// Instructions summed over all nodes.
+    pub instructions: u64,
+    /// Host wall seconds for the whole run.
+    pub seconds: f64,
+}
+
+impl MeshCycleCost {
+    /// Host nanoseconds per simulated cycle — the driver overhead in
+    /// host-invariant units.
+    pub fn ns_per_cycle(&self) -> f64 {
+        self.seconds * 1e9 / self.cycles.max(1) as f64
     }
-    t0.elapsed().as_secs_f64()
+}
+
+/// Host cost of a simulated cycle as the mesh widens: one untraced MD
+/// run of `program` per node count under the default driver, one at a
+/// time (no outer pool), so each wall time is the driver's alone.
+pub fn mesh_cycle_cost(
+    program: &Program,
+    node_counts: &[u32],
+    opts: tamsim_core::LoweringOptions,
+) -> Vec<MeshCycleCost> {
+    node_counts
+        .iter()
+        .map(|&nodes| {
+            let mut exp = MeshExperiment::new(Implementation::Md, nodes);
+            exp.opts = opts;
+            let t0 = Instant::now();
+            let r = exp.run(program);
+            MeshCycleCost {
+                nodes,
+                cycles: r.cycles,
+                instructions: r.instructions,
+                seconds: t0.elapsed().as_secs_f64(),
+            }
+        })
+        .collect()
 }
 
 /// Render collected mesh cache runs as the golden table: one row per
@@ -564,15 +594,14 @@ mod tests {
         let csv = table.to_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 4, "header + 3 rows:\n{csv}");
-        // Cycle counts come from the parallel driver; they must equal the
-        // serial driver's.
+        // Cycle counts are the default driver's.
         for (line, n) in lines[1..].iter().zip([1u32, 2, 4]) {
             let serial = mesh_run(&fib, Implementation::Md, n);
             let cells: Vec<&str> = line.split(',').collect();
             assert_eq!(cells[1], n.to_string());
             assert_eq!(cells[3], serial.cycles.to_string(), "row: {line}");
         }
-        // One worker on one node; a full complement once nodes >= threads.
+        // One chunk on one node; a full complement once nodes >= workers.
         assert!(lines[1].split(',').nth(6) == Some("1"), "{}", lines[1]);
         assert_eq!(
             lines[3].split(',').nth(6),

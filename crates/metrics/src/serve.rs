@@ -226,7 +226,7 @@ pub fn serve_profile(r: &ServeRunResult, program: &str) -> String {
     };
     // Serve runs are untraced and reported per scenario; the parallel
     // object stays out so profiles byte-compare across thread counts.
-    tamsim_obs::mesh_profile_json(&meta, &net_summary(m), None, Some(&serve_summary(r)))
+    tamsim_obs::mesh_profile_json(&meta, &net_summary(m), Some(&serve_summary(r)))
 }
 
 #[cfg(test)]

@@ -11,20 +11,32 @@
 //! (the port is always-local, the fabric stays empty), which is the
 //! anchor invariant the differential tests enforce.
 //!
-//! **Fast-forward.** By default the driver is event-driven where that is
-//! invisible: whenever no machine is runnable ([`tamsim_mdp::Wake`] —
-//! every node can only be woken by a delivery) it computes the **event
+//! **Active set.** By default one cycle costs what happens in it, not
+//! the mesh size. The driver keeps a *runnable* bitset — bit `n` set iff
+//! node `n`'s machine is not idle ([`Machine::is_idle`]) — refreshed
+//! after each node's own step and after every delivery, AM re-arm, and
+//! serve arrival that touches a machine. Phase (1) steps only runnable
+//! nodes, phase (3) retires only from occupied receive queues (the
+//! fabric's occupancy index), and the fabric tick visits only occupied
+//! buffers. Skipping an idle machine is invisible: its step would be a
+//! no-op returning `Idle`, and nothing in phase (1) can wake it (a step
+//! touches only its own machine). Activity timelines are recorded
+//! lazily: a per-node cursor fills the `Idle` gap when the node next
+//! steps, and at the end of the run.
+//!
+//! **Fast-forward.** When the runnable set is empty the only possible
+//! events are the fabric's, so the driver computes the **event
 //! horizon**, the fabric's next move/delivery edge
 //! ([`Fabric::next_horizon`]), and jumps the global clock there in one
 //! step instead of ticking cycle-by-cycle. The skipped iterations are
-//! provably no-ops — idle machines step to `Idle` with zero side effects,
-//! and a fabric with no ready head moves nothing — so cycle counts,
-//! stats, activity timelines, and access streams are bit-identical to the
-//! lockstep driver ([`MeshExperiment::lockstep`] keeps the original loop
-//! for the differential tests and `tamsim perf --mesh`). Whenever any
-//! machine is runnable, or a ready message is merely stuck behind
-//! back-pressure, the driver falls back to lockstep stepping.
+//! provably no-ops, so cycle counts, stats, activity timelines, and
+//! access streams are bit-identical to the lockstep driver
+//! ([`MeshExperiment::lockstep`], which steps and retires at every node
+//! every cycle and never jumps — kept as the differential oracle).
+//! Whenever a ready message is merely stuck behind back-pressure, the
+//! driver ticks cycle by cycle.
 
+use crate::bitset::BitSet;
 use crate::fabric::{Fabric, LinkStat, NetConfig, NetStats};
 use crate::hooks::{NetHooks, NoNetHooks};
 use crate::place::{Placement, PlacementPolicy};
@@ -36,7 +48,7 @@ use crate::trace::{NetTrace, NetTraceMode, NetTraceRecorder};
 use crate::{node_tag, LOCAL_MASK, MAX_NODES, NODE_SHIFT};
 use tamsim_core::{link, Implementation, Linked, LoweringOptions};
 use tamsim_mdp::{
-    HaltReason, Hooks, Machine, MachineConfig, Priority, RunError, RunStats, Step, Wake, Word,
+    HaltReason, Hooks, Machine, MachineConfig, Priority, RunError, RunStats, Step, Word,
 };
 use tamsim_tam::Program;
 use tamsim_trace::{Access, AccessCounts, CountingSink, Mark, MarkSink, TraceLog, TraceSink};
@@ -77,15 +89,11 @@ pub struct ActivityTrack {
 }
 
 impl ActivityTrack {
-    pub(crate) fn record(&mut self, cycle: u64, state: NodeState) {
-        self.record_span(cycle, state, 1);
-    }
-
     /// Record `n` consecutive cycles of `state` starting at `cycle` —
     /// exactly what `n` single-cycle records would produce (the spans are
-    /// maximal either way), so the fast-forward driver's bulk idle spans
+    /// maximal either way), so the active-set driver's bulk idle spans
     /// are bit-identical to lockstep's cycle-by-cycle ones.
-    pub(crate) fn record_span(&mut self, cycle: u64, state: NodeState, n: u64) {
+    fn record_span(&mut self, cycle: u64, state: NodeState, n: u64) {
         if let Some(last) = self.spans.last_mut() {
             if last.state == state && last.start + last.cycles == cycle {
                 last.cycles += n;
@@ -97,6 +105,22 @@ impl ActivityTrack {
             start: cycle,
             cycles: n,
         });
+    }
+
+    /// Fill the cycles from `*next` up to (not including) `cycle` as
+    /// `Idle`, and move the cursor there.
+    fn idle_until(&mut self, next: &mut u64, cycle: u64) {
+        if *next < cycle {
+            self.record_span(*next, NodeState::Idle, cycle - *next);
+            *next = cycle;
+        }
+    }
+
+    /// Record `state` at `cycle` after the idle gap since the cursor.
+    fn record_at(&mut self, next: &mut u64, cycle: u64, state: NodeState) {
+        self.idle_until(next, cycle);
+        self.record_span(cycle, state, 1);
+        *next = cycle + 1;
     }
 
     /// Total cycles spent in `state`.
@@ -209,27 +233,6 @@ pub struct MeshRunResult {
     /// Per-node recorded access traces (when recording was requested);
     /// replay each into its own `CacheBank` for per-node locality.
     pub logs: Option<Vec<TraceLog>>,
-    /// Per-worker counters when the parallel driver ran (`None` on the
-    /// serial drivers). Everything here is a deterministic function of
-    /// the program and the `(nodes, threads)` partition — node ranges and
-    /// work counts, never wall-clock — so two runs at the same thread
-    /// count produce identical values. Deliberately excluded from the
-    /// cross-driver bit-identity differentials (thread counts differ).
-    pub thread_stats: Option<Vec<ThreadStats>>,
-}
-
-/// One parallel-driver worker's deterministic utilization counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ThreadStats {
-    /// First node of this worker's contiguous partition.
-    pub first_node: u32,
-    /// Number of nodes in the partition.
-    pub nodes: u32,
-    /// Instructions executed by this worker's nodes (including cycles the
-    /// driver ran serially for halt-exactness, attributed to the owner).
-    pub steps: u64,
-    /// Messages this worker's nodes retired from the fabric.
-    pub deliveries: u64,
 }
 
 impl MeshRunResult {
@@ -278,9 +281,10 @@ pub struct MeshExperiment {
     pub placement: PlacementPolicy,
     /// Record per-node access traces for cache replay.
     pub record: bool,
-    /// Event-horizon fast-forwarding (on by default; results are
-    /// bit-identical either way). [`MeshExperiment::lockstep`] disables it
-    /// for differential tests and driver benchmarking.
+    /// The active-set driver with event-horizon fast-forwarding (on by
+    /// default; results are bit-identical either way).
+    /// [`MeshExperiment::lockstep`] disables it for the differential
+    /// tests.
     pub fast_forward: bool,
     /// Cycles without any instruction, fabric movement, or delivery
     /// before the gridlock watchdog doubles the queues and restarts
@@ -289,12 +293,6 @@ pub struct MeshExperiment {
     /// Causal network tracing (default [`NetTraceMode::Off`]: the run
     /// loop monomorphizes over [`NoNetHooks`] and pays nothing).
     pub net_trace: NetTraceMode,
-    /// Host worker threads for the parallel driver (default 1: serial).
-    /// With more than one thread (and more than one node, untraced), the
-    /// run fans machine stepping and message retirement out across a
-    /// fixed pool between deterministic epoch barriers — results stay
-    /// bit-identical to the serial drivers (see `par.rs`).
-    pub threads: u32,
 }
 
 impl MeshExperiment {
@@ -319,16 +317,7 @@ impl MeshExperiment {
             fast_forward: true,
             watchdog_cycles: WATCHDOG_CYCLES,
             net_trace: NetTraceMode::Off,
-            threads: 1,
         }
-    }
-
-    /// Set the host worker-thread count for the parallel driver. Values
-    /// above the node count are clamped; 0 or 1 selects the serial
-    /// drivers. Results are bit-identical at every thread count.
-    pub fn with_threads(mut self, threads: u32) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 
     /// Override the lowering options.
@@ -365,10 +354,10 @@ impl MeshExperiment {
         self
     }
 
-    /// Disable event-horizon fast-forwarding: tick every global cycle the
-    /// way PR 4's driver did. Results are bit-identical to the default
-    /// fast-forward driver — this exists so the differential tests and
-    /// `tamsim perf --mesh` have the original loop to compare against.
+    /// Select the lockstep driver: step and retire at every node on every
+    /// global cycle, never jumping. Results are bit-identical to the
+    /// default active-set driver — this exists as the differential
+    /// oracle.
     pub fn lockstep(mut self) -> Self {
         self.fast_forward = false;
         self
@@ -402,13 +391,8 @@ impl MeshExperiment {
     }
 
     /// Run `program` on the mesh to completion.
-    ///
-    /// With [`MeshExperiment::threads`] > 1 (and more than one node,
-    /// untraced) this uses the parallel driver; traced, single-node, and
-    /// single-thread runs use the serial loop. All paths are bit-identical.
     pub fn run(&self, program: &Program) -> MeshRunResult {
         match self.net_trace {
-            NetTraceMode::Off if self.threads > 1 && self.nodes > 1 => self.run_parallel(program),
             NetTraceMode::Off => self.run_with(program, &mut NoNetHooks),
             mode => {
                 let mut rec = NetTraceRecorder::new(mode, self.nodes);
@@ -495,12 +479,18 @@ impl MeshExperiment {
             let mut prev_moves: u64 = 0;
             let mut stall_cycles = vec![0u64; k];
             let mut activity = vec![ActivityTrack::default(); k];
+            // Per-node activity cursor: the first cycle not yet recorded.
+            let mut act_next = vec![0u64; k];
+            let mut runnable = BitSet::new(k);
+            for (n, m) in machines.iter().enumerate() {
+                runnable.set(n, !m.is_idle());
+            }
             let mut halted_node: Option<usize> = None;
 
             let halt = loop {
                 // Serve mode: the arrival pump runs at the top of every
-                // global cycle, before the wake scan — a machine whose
-                // queue just accepted a request is runnable this cycle.
+                // global cycle — a machine whose queue just accepted a
+                // request is runnable this cycle.
                 if let Some(sv) = serve.as_mut() {
                     sv.pump(
                         cycle,
@@ -510,19 +500,12 @@ impl MeshExperiment {
                         &mut *net_hooks,
                         linked.start_low,
                         self.implementation.is_am(),
+                        &mut runnable,
                     );
                 }
 
-                // One wake scan serves both the quiescence check and the
-                // fast-forward decision (`Wake::OnDelivery` is exactly
-                // "idle"); the lockstep path keeps PR 4's order — fabric
-                // occupancy scan first — so its cost profile is untouched.
-                let all_waiting = if self.fast_forward {
-                    machines.iter().all(|m| m.next_wake() == Wake::OnDelivery)
-                } else {
-                    fabric.is_empty() && machines.iter().all(Machine::is_idle)
-                };
-                let fabric_empty = all_waiting && (!self.fast_forward || fabric.msg_count() == 0);
+                let all_waiting = runnable.is_empty();
+                let fabric_empty = all_waiting && fabric.msg_count() == 0;
                 if fabric_empty {
                     // Backstop for the arrival/suspend race: a message can
                     // land between the AM scheduler's final frame-queue
@@ -535,9 +518,10 @@ impl MeshExperiment {
                     // the 1×1 run bit-identical.)
                     let mut rearmed = false;
                     if self.nodes > 1 && self.implementation.is_am() {
-                        for m in &mut machines {
+                        for (n, m) in machines.iter_mut().enumerate() {
                             if m.mem.read(linked.net.q_head).bits() != 0 {
                                 m.start_low(linked.start_low);
+                                runnable.insert(n);
                                 rearmed = true;
                                 backstop_rearms += 1;
                             }
@@ -558,10 +542,6 @@ impl MeshExperiment {
                                     .expect("idle serve run with requests unaccounted for");
                                 debug_assert!(target > cycle);
                                 if self.fast_forward {
-                                    let delta = target - cycle;
-                                    for a in &mut activity {
-                                        a.record_span(cycle, NodeState::Idle, delta);
-                                    }
                                     fabric.skip_to(target);
                                     cycle = target;
                                     last_progress = target;
@@ -577,13 +557,13 @@ impl MeshExperiment {
                 // Event-horizon fast-forward: when no machine is runnable
                 // the only possible events are the fabric's, and its next
                 // move/delivery edge is already scheduled. Jump straight
-                // there; every skipped iteration would have stepped K idle
-                // machines to `Idle` and ticked a fabric with no ready
-                // head — pure no-ops. Falls back to lockstep whenever any
-                // machine is runnable or a ready head is stuck behind
-                // back-pressure (`next_horizon` returns `None`).
-                // (`!fabric_empty` also skips the jump after a backstop
-                // re-arm, whose `start_low` made `all_waiting` stale.)
+                // there; every skipped iteration would have stepped no
+                // machine and ticked a fabric with no ready head — pure
+                // no-ops. Ticks cycle by cycle whenever a ready head is
+                // stuck behind back-pressure (`next_horizon` returns
+                // `None`). (`!fabric_empty` also skips the jump after a
+                // backstop re-arm, whose `start_low` made `all_waiting`
+                // stale.)
                 if self.fast_forward && all_waiting && !fabric_empty {
                     if let Some(horizon) = fabric.next_horizon() {
                         debug_assert!(horizon > cycle);
@@ -604,10 +584,6 @@ impl MeshExperiment {
                             self.double_queues_for_gridlock(&mut queue_words);
                             continue 'attempt;
                         }
-                        let delta = target - cycle;
-                        for a in &mut activity {
-                            a.record_span(cycle, NodeState::Idle, delta);
-                        }
                         fabric.skip_to(target);
                         cycle = target;
                         // Arrivals due exactly at `target` inject now —
@@ -623,40 +599,46 @@ impl MeshExperiment {
                                 &mut *net_hooks,
                                 linked.start_low,
                                 self.implementation.is_am(),
+                                &mut runnable,
                             );
                         }
                     }
                 }
 
-                // Work stealing runs entirely in this serial window:
-                // first settle the previous cycle's bookkeeping
-                // (activate installed frames, retire freed ones, reclaim
-                // orphaned home slots), then scan for new steals. The
-                // scan is gated on a runnable machine — a node with
-                // stealable backlog always has a live scheduler context
-                // — so every iteration a fast-forward jump skips is
-                // provably a steal no-op too, keeping the two serial
-                // drivers bit-identical.
+                // Work stealing runs entirely between node steps: first
+                // settle the previous cycle's bookkeeping (activate
+                // installed frames, retire freed ones, reclaim orphaned
+                // home slots), then scan for new steals. The scan is
+                // gated on a runnable machine — a node with stealable
+                // backlog always has a live scheduler context — so every
+                // iteration a fast-forward jump skips is provably a steal
+                // no-op too, keeping the two drivers bit-identical.
                 if let Some(eng) = steal.as_mut() {
                     eng.settle(&steal_installed, &steal_freed, &mut machines);
                     steal_installed.clear();
                     steal_freed.clear();
-                    if machines.iter().any(|m| m.next_wake() == Wake::Now) {
+                    if !runnable.is_empty() {
                         eng.scan(&mut machines, &mut fabric, &mut placement, &mut *net_hooks);
                     }
                 }
+                debug_assert!(
+                    machines
+                        .iter()
+                        .enumerate()
+                        .all(|(n, m)| runnable.contains(n) != m.is_idle()),
+                    "runnable set out of step with the machines at cycle {cycle}"
+                );
 
-                // (1) Every node executes at most one instruction.
+                // (1) Every runnable node executes at most one
+                // instruction (lockstep: every node).
                 let mut progress = false;
-                for n in 0..k {
-                    if self.fast_forward && machines[n].is_idle() {
-                        // An idle machine's step is a guaranteed no-op
-                        // (no hooks, no state change), and nothing in
-                        // this phase can wake it — deliveries happen in
-                        // phase (3) — so skip the call.
-                        activity[n].record(cycle, NodeState::Idle);
-                        continue;
-                    }
+                let mut cursor = 0;
+                while let Some(n) = if self.fast_forward {
+                    runnable.next_from(cursor)
+                } else {
+                    (cursor < k).then_some(cursor)
+                } {
+                    cursor = n + 1;
                     // Dispatch is a free transition inside the machine, so
                     // the driver attributes it by counter delta: whatever
                     // the step dispatched came from the head of that
@@ -690,18 +672,18 @@ impl MeshExperiment {
                             }
                         }
                     }
-                    match stepped {
+                    let state = match stepped {
                         Ok(Step::Ran) => {
                             progress = true;
-                            activity[n].record(cycle, NodeState::Run);
+                            NodeState::Run
                         }
-                        Ok(Step::Idle) => activity[n].record(cycle, NodeState::Idle),
+                        Ok(Step::Idle) => NodeState::Idle,
                         Ok(Step::Blocked) => {
                             stall_cycles[n] += 1;
-                            activity[n].record(cycle, NodeState::Stall);
+                            NodeState::Stall
                         }
                         Ok(Step::Halted(_)) => {
-                            activity[n].record(cycle, NodeState::Run);
+                            activity[n].record_at(&mut act_next[n], cycle, NodeState::Run);
                             halted_node = Some(n);
                             cycle += 1;
                             // The done handler ran: the answer is in node
@@ -721,16 +703,18 @@ impl MeshExperiment {
                             "program {} failed on node {n} under {:?}: {e}",
                             program.name, self.implementation
                         ),
-                    }
+                    };
+                    activity[n].record_at(&mut act_next[n], cycle, state);
+                    runnable.set(n, !machines[n].is_idle());
                 }
                 if halted_node.is_some() {
                     break HaltReason::Explicit;
                 }
 
                 // (2) The fabric moves messages one hop. On an empty
-                // fabric a tick only advances the clock; the fast path
-                // skips the buffer scan (and the delivery scan below).
-                if self.fast_forward && fabric.msg_count() == 0 {
+                // fabric a tick only advances the clock, and there is
+                // nothing to deliver.
+                if fabric.msg_count() == 0 {
                     fabric.skip_to(cycle + 1);
                     cycle += 1;
                     if progress {
@@ -747,8 +731,15 @@ impl MeshExperiment {
                 }
                 fabric.tick_traced(&mut *net_hooks);
 
-                // (3) Each NI retires at most one arrived message.
-                for n in 0..k {
+                // (3) Each NI with a queued arrival retires at most one
+                // message (lockstep: every NI looks).
+                let mut cursor = 0;
+                while let Some(n) = if self.fast_forward {
+                    fabric.next_occupied_recv(cursor as u32).map(|n| n as usize)
+                } else {
+                    (cursor < k).then_some(cursor)
+                } {
+                    cursor = n + 1;
                     // Work stealing intercepts two message shapes before
                     // ordinary delivery: a migration installs its frame
                     // into this node, and a message addressed to a
@@ -763,6 +754,7 @@ impl MeshExperiment {
                                 let old = words[2].bits() as u32;
                                 if eng.try_install(&mut machines[n], &words, linked.start_low) {
                                     fabric.pop_recv_traced(n as u32, &mut *net_hooks);
+                                    runnable.set(n, !machines[n].is_idle());
                                     progress = true;
                                     steal_installed.push(old);
                                 } else {
@@ -822,6 +814,7 @@ impl MeshExperiment {
                         if self.implementation.is_am() && machines[n].low_suspended() {
                             machines[n].start_low(linked.start_low);
                         }
+                        runnable.insert(n);
                     } else {
                         fabric.note_deliver_stall_traced(n as u32, &mut *net_hooks);
                     }
@@ -838,6 +831,17 @@ impl MeshExperiment {
                     continue 'attempt;
                 }
             };
+
+            // Flush the lazy timelines: every node is idle from its cursor
+            // to the end of the run, except that in the halt cycle the
+            // nodes after the halting one never stepped.
+            for (n, (track, next)) in activity.iter_mut().zip(&mut act_next).enumerate() {
+                let end = match halted_node {
+                    Some(h) if n > h => cycle - 1,
+                    _ => cycle,
+                };
+                track.idle_until(next, end);
+            }
 
             let stats: Vec<RunStats> = machines
                 .iter()
@@ -879,7 +883,6 @@ impl MeshExperiment {
                 logs: self
                     .record
                     .then(|| hooks.into_iter().map(|h| h.log.unwrap()).collect()),
-                thread_stats: None,
             };
             return (run, serve.map(|s| s.cells));
         }

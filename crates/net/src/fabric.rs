@@ -14,7 +14,16 @@
 //! accept its next message for `⌈L/B⌉` cycles (serialization). All
 //! movement is evaluated in a fixed order (node index, then input port
 //! order, then the inject queue), so runs are bit-deterministic.
+//!
+//! **Occupancy index.** The fabric keeps one bit per non-empty source
+//! buffer (`node * 5 + slot`: slots 0–3 are the link inputs in
+//! [`Dir::ALL`] order, slot 4 the inject queue) and one bit per non-empty
+//! receive queue, set on every push into an empty buffer and cleared on
+//! the pop that empties it. [`Fabric::tick`] and [`Fabric::next_horizon`]
+//! visit only set bits, in ascending order — the fixed order above — so a
+//! cycle costs what is buffered, not what the mesh could hold.
 
+use crate::bitset::BitSet;
 use crate::hooks::{BufKind, NetHooks, NoNetHooks};
 use crate::topology::{Dir, MeshTopology};
 use std::collections::VecDeque;
@@ -246,6 +255,11 @@ pub struct Fabric {
     links: Vec<Buffer>,
     inject: Vec<Buffer>,
     recv: Vec<Buffer>,
+    /// Non-empty source buffers, bit `node * 5 + slot` (see the module
+    /// docs): the buffers a tick can move anything out of.
+    src_occupied: BitSet,
+    /// Non-empty receive queues, one bit per node.
+    recv_occupied: BitSet,
     now: u64,
     moves: u64,
     /// Messages currently buffered anywhere (O(1) mirror of
@@ -270,6 +284,8 @@ impl Fabric {
             links: (0..n * 4).map(|_| Buffer::new(cfg.link_capacity)).collect(),
             inject: (0..n).map(|_| Buffer::new(cfg.inject_capacity)).collect(),
             recv: (0..n).map(|_| Buffer::new(cfg.recv_capacity)).collect(),
+            src_occupied: BitSet::new(n * SLOTS),
+            recv_occupied: BitSet::new(n),
             now: 0,
             moves: 0,
             in_flight: 0,
@@ -338,6 +354,7 @@ impl Fabric {
             trace_id: id,
         };
         self.inject[src as usize].push(msg, self.now, &self.cfg);
+        self.src_occupied.insert(src as usize * SLOTS + INJECT_SLOT);
         self.stats.injected_msgs += 1;
         self.stats.injected_words += len as u64;
         self.in_flight += 1;
@@ -360,71 +377,88 @@ impl Fabric {
     }
 
     /// [`Fabric::tick`] with observation hooks.
+    ///
+    /// Walks the occupied source buffers in ascending index order, reading
+    /// the index live: a buffer that fills during this tick at a higher
+    /// index is still visited, as the full node-order scan would visit it.
     pub fn tick_traced<H: NetHooks>(&mut self, hooks: &mut H) {
-        for node in 0..self.nodes() {
-            for src_q in Self::source_queues(node) {
-                let Some(head) = self.buffer(src_q).ready_front(self.now) else {
-                    continue;
-                };
-                let (dest, len, id) = (head.dest, head.words.len() as u32, head.trace_id);
-                if dest == node {
-                    // Eject into the receive queue.
-                    if self.recv[node as usize].can_accept(len, self.now) {
-                        let msg = self.buffer_mut(src_q).pop();
-                        self.recv[node as usize].push(msg, self.now, &self.cfg);
-                        self.moves += 1;
-                        hooks.eject(id, node, self.now);
-                        if H::ENABLED {
-                            hooks.occupancy(
-                                node,
-                                Self::queue_kind(src_q),
-                                self.buffer(src_q).used_words,
-                                self.now,
-                            );
-                            hooks.occupancy(
-                                node,
-                                BufKind::Recv,
-                                self.recv[node as usize].used_words,
-                                self.now,
-                            );
-                        }
-                    } else {
-                        self.buffer_mut(src_q).tel.stall_cycles += 1;
-                        hooks.hop_stall(id, node, self.now);
+        self.debug_check_index();
+        let mut cursor = 0;
+        while let Some(src) = self.src_occupied.next_from(cursor) {
+            cursor = src + 1;
+            let node = (src / SLOTS) as u32;
+            let Some(head) = self.source(src).ready_front(self.now) else {
+                continue;
+            };
+            let (dest, len, id) = (head.dest, head.words.len() as u32, head.trace_id);
+            if dest == node {
+                // Eject into the receive queue.
+                if self.recv[node as usize].can_accept(len, self.now) {
+                    let msg = self.pop_source(src);
+                    self.recv[node as usize].push(msg, self.now, &self.cfg);
+                    self.recv_occupied.insert(node as usize);
+                    self.moves += 1;
+                    hooks.eject(id, node, self.now);
+                    if H::ENABLED {
+                        hooks.occupancy(
+                            node,
+                            Self::slot_kind(src),
+                            self.source(src).used_words,
+                            self.now,
+                        );
+                        hooks.occupancy(
+                            node,
+                            BufKind::Recv,
+                            self.recv[node as usize].used_words,
+                            self.now,
+                        );
                     }
                 } else {
-                    let d = self.topo.next_hop(node, dest);
-                    let next = self.topo.neighbor(node, d);
-                    let target = (next as usize) * 4 + d.index();
-                    if self.links[target].can_accept(len, self.now) {
-                        let mut msg = self.buffer_mut(src_q).pop();
-                        msg.hops += 1;
-                        self.stats.hop_traversals += 1;
-                        self.links[target].push(msg, self.now, &self.cfg);
-                        self.moves += 1;
-                        hooks.hop(id, node, d, self.now);
-                        if H::ENABLED {
-                            hooks.occupancy(
-                                node,
-                                Self::queue_kind(src_q),
-                                self.buffer(src_q).used_words,
-                                self.now,
-                            );
-                            hooks.occupancy(
-                                next,
-                                BufKind::Link(d),
-                                self.links[target].used_words,
-                                self.now,
-                            );
-                        }
-                    } else {
-                        self.buffer_mut(src_q).tel.stall_cycles += 1;
-                        hooks.hop_stall(id, node, self.now);
+                    self.source_mut(src).tel.stall_cycles += 1;
+                    hooks.hop_stall(id, node, self.now);
+                }
+            } else {
+                let d = self.topo.next_hop(node, dest);
+                let next = self.topo.neighbor(node, d);
+                let target = (next as usize) * 4 + d.index();
+                if self.links[target].can_accept(len, self.now) {
+                    let mut msg = self.pop_source(src);
+                    msg.hops += 1;
+                    self.stats.hop_traversals += 1;
+                    self.links[target].push(msg, self.now, &self.cfg);
+                    self.src_occupied.insert(next as usize * SLOTS + d.index());
+                    self.moves += 1;
+                    hooks.hop(id, node, d, self.now);
+                    if H::ENABLED {
+                        hooks.occupancy(
+                            node,
+                            Self::slot_kind(src),
+                            self.source(src).used_words,
+                            self.now,
+                        );
+                        hooks.occupancy(
+                            next,
+                            BufKind::Link(d),
+                            self.links[target].used_words,
+                            self.now,
+                        );
                     }
+                } else {
+                    self.source_mut(src).tel.stall_cycles += 1;
+                    hooks.hop_stall(id, node, self.now);
                 }
             }
         }
         self.now += 1;
+    }
+
+    /// The lowest node at or after `from` whose receive queue holds a
+    /// message (ready or not): the only nodes a delivery phase can retire
+    /// anything at. Read live, like the tick's walk.
+    pub(crate) fn next_occupied_recv(&self, from: u32) -> Option<u32> {
+        self.recv_occupied
+            .next_from(from as usize)
+            .map(|n| n as u32)
     }
 
     /// The message ready for delivery at `node`, if any.
@@ -441,6 +475,9 @@ impl Fabric {
     /// [`Fabric::pop_recv`] with observation hooks.
     pub fn pop_recv_traced<H: NetHooks>(&mut self, node: u32, hooks: &mut H) -> Message {
         let msg = self.recv[node as usize].pop();
+        if self.recv[node as usize].is_empty() {
+            self.recv_occupied.remove(node as usize);
+        }
         self.stats.delivered_msgs += 1;
         self.stats.delivered_words += msg.words.len() as u64;
         self.stats.latency_total += self.now - msg.injected_at;
@@ -517,18 +554,9 @@ impl Fabric {
         out
     }
 
-    fn queue_kind(q: SourceQueue) -> BufKind {
-        match q {
-            SourceQueue::Link(i) => BufKind::Link(Dir::ALL[i % 4]),
-            SourceQueue::Inject(_) => BufKind::Inject,
-        }
-    }
-
     /// Whether no message is buffered anywhere in the fabric.
     pub fn is_empty(&self) -> bool {
-        self.links.iter().all(Buffer::is_empty)
-            && self.inject.iter().all(Buffer::is_empty)
-            && self.recv.iter().all(Buffer::is_empty)
+        self.src_occupied.is_empty() && self.recv_occupied.is_empty()
     }
 
     /// O(1) in-flight message count (equal to [`Fabric::in_flight_msgs`],
@@ -557,22 +585,24 @@ impl Fabric {
     /// caller must fall back to lockstep. Also `None` on an empty fabric.
     pub fn next_horizon(&self) -> Option<u64> {
         let mut h = u64::MAX;
-        for b in self.links.iter().chain(&self.inject) {
-            if let Some(f) = b.q.front() {
-                if f.ready_at <= self.now {
-                    return None;
-                }
-                h = h.min(f.ready_at);
+        let mut cursor = 0;
+        while let Some(src) = self.src_occupied.next_from(cursor) {
+            cursor = src + 1;
+            let f = self.source(src).q.front().expect("occupied buffer");
+            if f.ready_at <= self.now {
+                return None;
             }
+            h = h.min(f.ready_at);
         }
-        for b in &self.recv {
-            if let Some(f) = b.q.front() {
-                let t = f.ready_at.saturating_sub(1);
-                if t <= self.now {
-                    return None;
-                }
-                h = h.min(t);
+        let mut cursor = 0;
+        while let Some(node) = self.recv_occupied.next_from(cursor) {
+            cursor = node + 1;
+            let f = self.recv[node].q.front().expect("occupied buffer");
+            let t = f.ready_at.saturating_sub(1);
+            if t <= self.now {
+                return None;
             }
+            h = h.min(t);
         }
         (h != u64::MAX).then_some(h)
     }
@@ -595,208 +625,72 @@ impl Fabric {
         count(&self.links) + count(&self.inject) + count(&self.recv)
     }
 
-    /// Source-queue ids at `node`: the four input ports, then inject.
-    fn source_queues(node: u32) -> [SourceQueue; 5] {
-        let n = node as usize;
-        [
-            SourceQueue::Link(n * 4 + Dir::East.index()),
-            SourceQueue::Link(n * 4 + Dir::West.index()),
-            SourceQueue::Link(n * 4 + Dir::North.index()),
-            SourceQueue::Link(n * 4 + Dir::South.index()),
-            SourceQueue::Inject(n),
-        ]
-    }
-
-    fn buffer(&self, q: SourceQueue) -> &Buffer {
-        match q {
-            SourceQueue::Link(i) => &self.links[i],
-            SourceQueue::Inject(i) => &self.inject[i],
+    /// Source buffer `src` (an occupancy-index bit: `node * 5 + slot`).
+    fn source(&self, src: usize) -> &Buffer {
+        let (node, slot) = (src / SLOTS, src % SLOTS);
+        if slot == INJECT_SLOT {
+            &self.inject[node]
+        } else {
+            &self.links[node * 4 + slot]
         }
     }
 
-    fn buffer_mut(&mut self, q: SourceQueue) -> &mut Buffer {
-        match q {
-            SourceQueue::Link(i) => &mut self.links[i],
-            SourceQueue::Inject(i) => &mut self.inject[i],
+    fn source_mut(&mut self, src: usize) -> &mut Buffer {
+        let (node, slot) = (src / SLOTS, src % SLOTS);
+        if slot == INJECT_SLOT {
+            &mut self.inject[node]
+        } else {
+            &mut self.links[node * 4 + slot]
         }
     }
-}
 
-#[derive(Debug, Clone, Copy)]
-enum SourceQueue {
-    Link(usize),
-    Inject(usize),
-}
-
-/// Per-worker deltas of the fabric's *global* counters, accumulated by
-/// [`FabricLanes`] operations and folded back by [`Fabric::absorb`].
-///
-/// The parallel mesh driver partitions nodes across host threads; each
-/// thread touches only its own nodes' inject and receive buffers, but the
-/// aggregate [`NetStats`] counters are shared. Rather than contend on
-/// atomics (and order-perturb nothing anyway — sums commute), each worker
-/// accumulates deltas and the main thread sums them at the next barrier,
-/// which keeps every published statistic bit-identical to the serial
-/// drivers.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LaneDeltas {
-    /// Messages accepted into an inject queue.
-    pub injected_msgs: u64,
-    /// Words accepted into an inject queue.
-    pub injected_words: u64,
-    /// Messages handed to a destination machine.
-    pub delivered_msgs: u64,
-    /// Words handed to a destination machine.
-    pub delivered_words: u64,
-    /// Sum over delivered messages of (delivery cycle − injection cycle).
-    pub latency_total: u64,
-    /// Refused injections (sender NI stalls).
-    pub inject_stalls: u64,
-    /// Ready messages held back by a full machine queue.
-    pub deliver_stalls: u64,
-    /// Net change in buffered messages (+1 per inject, −1 per delivery).
-    pub in_flight: i64,
-}
-
-/// Raw per-node views of the fabric's endpoint buffers, for the parallel
-/// mesh driver.
-///
-/// Between the driver's epoch barriers, worker thread `t` owns the inject
-/// and receive buffers (and the deliver-stall counter) of exactly the
-/// nodes in its partition; these methods mirror [`Fabric::try_inject`],
-/// [`Fabric::ready_recv`], [`Fabric::pop_recv`], and
-/// [`Fabric::note_deliver_stall`] on that per-node state, routing the
-/// global counters into a per-worker [`LaneDeltas`] instead. Link buffers
-/// and [`Fabric::tick`] stay main-thread-only. `trace_id` is assigned 0
-/// on every lane injection: the parallel driver only runs untraced, where
-/// trace ids are unobservable.
-///
-/// # Safety
-/// Every method requires that the caller has exclusive access to the
-/// named node's buffers for the duration of the call and that the parent
-/// [`Fabric`] outlives this view (the driver guarantees both with its
-/// barrier protocol).
-#[derive(Debug, Clone, Copy)]
-pub struct FabricLanes {
-    inject: *mut Buffer,
-    recv: *mut Buffer,
-    deliver_stalls_by_node: *mut u64,
-    nodes: u32,
-    cfg: NetConfig,
-}
-
-// SAFETY: the raw pointers are only dereferenced under the parallel
-// driver's ownership discipline (disjoint nodes per worker, barriers
-// establishing happens-before between phases).
-unsafe impl Send for FabricLanes {}
-unsafe impl Sync for FabricLanes {}
-
-impl FabricLanes {
-    /// Mirror of [`Fabric::try_inject_traced`] on `src`'s inject lane
-    /// (untraced; counters go to `d`).
-    ///
-    /// # Safety
-    /// See [`FabricLanes`]. `now` must be the fabric cycle the serial
-    /// driver would inject at (the current global cycle).
-    pub unsafe fn try_inject(
-        &self,
-        src: u32,
-        dest: u32,
-        pri: Priority,
-        words: &[Word],
-        now: u64,
-        d: &mut LaneDeltas,
-    ) -> bool {
-        debug_assert!(src < self.nodes && dest < self.nodes);
-        let buf = unsafe { &mut *self.inject.add(src as usize) };
-        let len = words.len() as u32;
-        if !buf.can_accept(len, now) {
-            d.inject_stalls += 1;
-            return false;
+    /// Pop the head of source buffer `src`, dropping its occupancy bit
+    /// when the pop empties it.
+    fn pop_source(&mut self, src: usize) -> Message {
+        let buf = self.source_mut(src);
+        let msg = buf.pop();
+        let emptied = buf.is_empty();
+        if emptied {
+            self.src_occupied.remove(src);
         }
-        buf.push(
-            Message {
-                src,
-                dest,
-                pri,
-                words: words.to_vec(),
-                hops: 0,
-                injected_at: now,
-                trace_id: 0,
-            },
-            now,
-            &self.cfg,
-        );
-        d.injected_msgs += 1;
-        d.injected_words += len as u64;
-        d.in_flight += 1;
-        true
+        msg
     }
 
-    /// Mirror of [`Fabric::ready_recv`] on `node`'s receive lane.
-    ///
-    /// # Safety
-    /// See [`FabricLanes`]. `now` must be the post-tick fabric cycle. The
-    /// returned borrow is invalidated by [`FabricLanes::pop_recv`].
-    pub unsafe fn ready_recv(&self, node: u32, now: u64) -> Option<&Message> {
-        unsafe { (*self.recv.add(node as usize)).ready_front(now) }
+    fn slot_kind(src: usize) -> BufKind {
+        match src % SLOTS {
+            INJECT_SLOT => BufKind::Inject,
+            slot => BufKind::Link(Dir::ALL[slot]),
+        }
     }
 
-    /// Mirror of [`Fabric::pop_recv_traced`] (untraced; counters to `d`).
-    ///
-    /// # Safety
-    /// See [`FabricLanes`]; additionally a prior
-    /// [`FabricLanes::ready_recv`] must have returned `Some` this cycle.
-    pub unsafe fn pop_recv(&self, node: u32, now: u64, d: &mut LaneDeltas) {
-        let msg = unsafe { (*self.recv.add(node as usize)).pop() };
-        d.delivered_msgs += 1;
-        d.delivered_words += msg.words.len() as u64;
-        d.latency_total += now - msg.injected_at;
-        d.in_flight -= 1;
-    }
-
-    /// Mirror of [`Fabric::note_deliver_stall_traced`] (untraced).
-    ///
-    /// # Safety
-    /// See [`FabricLanes`].
-    pub unsafe fn note_deliver_stall(&self, node: u32, d: &mut LaneDeltas) {
-        d.deliver_stalls += 1;
-        unsafe {
-            *self.deliver_stalls_by_node.add(node as usize) += 1;
-            (*self.recv.add(node as usize)).tel.stall_cycles += 1;
+    /// Debug builds: the occupancy index names exactly the non-empty
+    /// buffers.
+    fn debug_check_index(&self) {
+        if cfg!(debug_assertions) {
+            for src in 0..self.inject.len() * SLOTS {
+                debug_assert_eq!(
+                    self.src_occupied.contains(src),
+                    !self.source(src).is_empty(),
+                    "source occupancy index stale at {src}"
+                );
+            }
+            for (node, b) in self.recv.iter().enumerate() {
+                debug_assert_eq!(
+                    self.recv_occupied.contains(node),
+                    !b.is_empty(),
+                    "receive occupancy index stale at node {node}"
+                );
+            }
         }
     }
 }
 
-impl Fabric {
-    /// Raw per-node endpoint views for the parallel driver (see
-    /// [`FabricLanes`] for the ownership contract).
-    pub fn lanes(&mut self) -> FabricLanes {
-        FabricLanes {
-            inject: self.inject.as_mut_ptr(),
-            recv: self.recv.as_mut_ptr(),
-            deliver_stalls_by_node: self.deliver_stalls_by_node.as_mut_ptr(),
-            nodes: self.topo.nodes(),
-            cfg: self.cfg,
-        }
-    }
+/// Source buffers per node in the occupancy index: four link inputs,
+/// then the inject queue.
+const SLOTS: usize = 5;
 
-    /// Fold one worker's [`LaneDeltas`] into the global counters. Sums
-    /// commute, so absorbing per-worker deltas in any fixed order yields
-    /// the same [`NetStats`] the serial drivers produce.
-    pub fn absorb(&mut self, d: &LaneDeltas) {
-        self.stats.injected_msgs += d.injected_msgs;
-        self.stats.injected_words += d.injected_words;
-        self.stats.delivered_msgs += d.delivered_msgs;
-        self.stats.delivered_words += d.delivered_words;
-        self.stats.latency_total += d.latency_total;
-        self.stats.inject_stalls += d.inject_stalls;
-        self.stats.deliver_stalls += d.deliver_stalls;
-        let in_flight = self.in_flight as i64 + d.in_flight;
-        debug_assert!(in_flight >= 0, "more deliveries than injections");
-        self.in_flight = in_flight as u64;
-    }
-}
+/// The inject queue's slot in a node's source buffers.
+const INJECT_SLOT: usize = 4;
 
 #[cfg(test)]
 mod tests {

@@ -32,10 +32,10 @@
 //! `Machine::run`'s step loop exactly. The integration tests and the fuzz
 //! harness (`tamsim fuzz --mesh`) both enforce this.
 
+mod bitset;
 pub mod driver;
 pub mod fabric;
 pub mod hooks;
-pub mod par;
 pub mod place;
 pub mod port;
 pub mod serve;
@@ -44,8 +44,7 @@ pub mod topology;
 pub mod trace;
 
 pub use driver::{
-    ActivityTrack, MeshExperiment, MeshRecordedRun, MeshRunResult, NodeState, ThreadStats,
-    WATCHDOG_CYCLES,
+    ActivityTrack, MeshExperiment, MeshRecordedRun, MeshRunResult, NodeState, WATCHDOG_CYCLES,
 };
 pub use fabric::{Fabric, LinkStat, Message, NetConfig, NetStats};
 pub use hooks::{BufKind, NetHooks, NoNetHooks};

@@ -22,9 +22,8 @@
 //! words are recorded against the request id carried in the parent word,
 //! the send reports [`tamsim_mdp::RouteOutcome::Injected`], and the done
 //! handler (whose `HALT` would stop the whole mesh) never dispatches.
-//! Interception happens identically in all three drivers, so completion
-//! records are bit-identical across lockstep, fast-forward, and any
-//! parallel thread count.
+//! Interception happens identically in both drivers, so completion
+//! records are bit-identical across lockstep and active-set runs.
 //!
 //! ## Arrivals
 //!
@@ -39,6 +38,7 @@
 
 use std::collections::VecDeque;
 
+use crate::bitset::BitSet;
 use crate::driver::{MeshExperiment, MeshRunResult, NodeHooks};
 use crate::hooks::{NetHooks, NoNetHooks};
 use crate::place::Placement;
@@ -239,9 +239,7 @@ impl ServePlan {
     }
 }
 
-/// Per-request lifecycle cell, written in place by the drivers. Plain
-/// `Copy` data so the parallel driver's workers can write distinct
-/// requests' cells through raw pointers without aliasing references.
+/// Per-request lifecycle cell, written in place by the driver.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReqCell {
     /// Cycle the boot message entered the origin machine's queue.
@@ -271,7 +269,7 @@ impl ReqCell {
     }
 }
 
-/// The serial drivers' interception view, rebuilt per step with the
+/// The driver's interception view, rebuilt per step with the
 /// current cycle. [`crate::port::NodePort`] consults it before routing.
 /// Opaque outside the crate: ports are constructed with `serve: None`
 /// everywhere except the serve drivers.
@@ -306,30 +304,6 @@ pub(crate) fn reply_id(words: &[Word]) -> usize {
     (parent as u32 & LOCAL_MASK) as usize
 }
 
-/// The parallel workers' interception view: raw pointers because
-/// distinct workers complete distinct requests concurrently (a request
-/// completes exactly once, so two workers never touch the same cell).
-#[derive(Clone, Copy)]
-pub(crate) struct ServeShared {
-    pub(crate) done_addr: u64,
-    cells: *mut ReqCell,
-    len: usize,
-}
-
-impl ServeShared {
-    /// Record a completion through the raw cell table.
-    ///
-    /// # Safety
-    /// Must only be called from the worker owning the sending node,
-    /// inside a round; the reply's request id must not be completed by
-    /// any other worker (guaranteed: each request completes once).
-    pub(crate) unsafe fn complete(&self, now: u64, words: &[Word]) {
-        let id = reply_id(words);
-        assert!(id < self.len, "done reply names an unknown request");
-        unsafe { (*self.cells.add(id)).complete(now, words) };
-    }
-}
-
 /// Per-attempt serving state owned by a driver: the schedule cursor,
 /// per-node entry FIFOs, and the request cells.
 pub(crate) struct ServeState<'p> {
@@ -341,6 +315,9 @@ pub(crate) struct ServeState<'p> {
     next: usize,
     /// Per-node FIFOs of arrived-but-not-yet-injected request ids.
     pending: Vec<VecDeque<u32>>,
+    /// Nodes whose `pending` FIFO is non-empty (the pump visits only
+    /// these).
+    waiting: BitSet,
     pub(crate) cells: Vec<ReqCell>,
     pub(crate) injected: u64,
     pub(crate) completed: u64,
@@ -354,6 +331,7 @@ impl<'p> ServeState<'p> {
             done_addr: linked.net.done_addr as u64,
             next: 0,
             pending: vec![VecDeque::new(); nodes],
+            waiting: BitSet::new(nodes),
             cells: vec![ReqCell::default(); plan.arrivals.len()],
             injected: 0,
             completed: 0,
@@ -363,7 +341,7 @@ impl<'p> ServeState<'p> {
     /// Every request has arrived, been injected, and completed.
     pub(crate) fn drained(&self) -> bool {
         self.next == self.arrivals.len()
-            && self.pending.iter().all(VecDeque::is_empty)
+            && self.waiting.is_empty()
             && self.completed == self.cells.len() as u64
     }
 
@@ -372,7 +350,7 @@ impl<'p> ServeState<'p> {
         self.arrivals.get(self.next).map(|a| a.cycle)
     }
 
-    /// The serial interception view at cycle `now`.
+    /// The interception view at cycle `now`.
     pub(crate) fn tap(&mut self, now: u64) -> ServeTap<'_> {
         ServeTap {
             done_addr: self.done_addr,
@@ -382,20 +360,12 @@ impl<'p> ServeState<'p> {
         }
     }
 
-    /// The parallel workers' interception view.
-    pub(crate) fn shared(&mut self) -> ServeShared {
-        ServeShared {
-            done_addr: self.done_addr,
-            cells: self.cells.as_mut_ptr(),
-            len: self.cells.len(),
-        }
-    }
-
-    /// The arrival pump, run at the top of every global cycle in every
-    /// driver (inside the parallel driver's serial window): release due
-    /// arrivals into their origin FIFOs, then inject each node's queue
-    /// head-first until its machine queue refuses — held requests stay
-    /// in arrival order and retry next cycle.
+    /// The arrival pump, run at the top of every global cycle: release
+    /// due arrivals into their origin FIFOs, then inject each waiting
+    /// node's queue head-first, in node order, until its machine queue
+    /// refuses — held requests stay in arrival order and retry next
+    /// cycle. Every node whose machine accepted a request is added to
+    /// `runnable`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn pump<H: NetHooks>(
         &mut self,
@@ -406,15 +376,19 @@ impl<'p> ServeState<'p> {
         net_hooks: &mut H,
         start_low: u32,
         is_am: bool,
+        runnable: &mut BitSet,
     ) {
         while let Some(a) = self.arrivals.get(self.next) {
             if a.cycle > cycle {
                 break;
             }
             self.pending[a.node as usize].push_back(a.id);
+            self.waiting.insert(a.node as usize);
             self.next += 1;
         }
-        for n in 0..machines.len() {
+        let mut cursor = 0;
+        while let Some(n) = self.waiting.next_from(cursor) {
+            cursor = n + 1;
             while let Some(&id) = self.pending[n].front() {
                 self.boot[3] = Word::from_addr(node_tag(n as u32) | id);
                 if !machines[n].try_deliver(Priority::High, &self.boot, &mut hooks[n]) {
@@ -435,6 +409,10 @@ impl<'p> ServeState<'p> {
                 if is_am && machines[n].low_suspended() {
                     machines[n].start_low(start_low);
                 }
+                runnable.insert(n);
+            }
+            if self.pending[n].is_empty() {
+                self.waiting.remove(n);
             }
         }
     }
@@ -496,16 +474,11 @@ impl ServeRunResult {
 impl MeshExperiment {
     /// Serve `cfg.requests` invocations of `program` at the offered
     /// load, tracking each request's arrival → inject → complete
-    /// lifecycle. Runs untraced on the driver selected by the
-    /// experiment's `threads`/`fast_forward` settings; records are
-    /// bit-identical across all drivers and thread counts.
+    /// lifecycle. Runs untraced; records are bit-identical under
+    /// [`MeshExperiment::lockstep`].
     pub fn serve(&self, program: &Program, cfg: &ServeConfig) -> ServeRunResult {
         let plan = ServePlan::build(cfg, self.nodes);
-        let (mesh, cells) = if self.threads > 1 && self.nodes > 1 {
-            self.run_parallel_serve(program, Some(&plan))
-        } else {
-            self.run_serve_with(program, &mut NoNetHooks, Some(&plan))
-        };
+        let (mesh, cells) = self.run_serve_with(program, &mut NoNetHooks, Some(&plan));
         let cells = cells.expect("serve run returns request cells");
         // Conservation: the run only quiesces drained, so every request
         // must have completed exactly once.

@@ -50,15 +50,13 @@
 //! ## Determinism
 //!
 //! Every steal decision reads only cycle-stamped machine state (memory,
-//! registers, queue contents) at a fixed serial point that all three
-//! drivers share, and scans are gated on "some machine is runnable" —
-//! during a fast-forward-skipped stretch every machine is idle, so the
-//! lockstep driver's per-cycle scans over that stretch are provably
-//! no-ops and the jump changes nothing. The parallel driver runs the
-//! scan in its serial window and folds worker-observed installs and
-//! free captures at the epoch barrier in node order, so the
-//! Pending→Active flips and reclamations happen in the same order at
-//! the same cycle at every thread count.
+//! registers, queue contents) at a fixed point of the global cycle, and
+//! scans are gated on "some machine is runnable" — during a
+//! fast-forward-skipped stretch every machine is idle, so the lockstep
+//! driver's per-cycle scans over that stretch are provably no-ops and
+//! the jump changes nothing. Scans, settles, and reclaims write machine
+//! memory only — never a context pc or a hardware queue — so they cannot
+//! change which machines are runnable.
 
 use std::collections::HashMap;
 
@@ -136,11 +134,10 @@ pub struct StealView<'a> {
 
 /// The work-stealing engine: scan + forwarding directory + counters.
 ///
-/// Owned by the driver; mutated only at serial points. During parallel
-/// rounds workers use the read-only lookups ([`StealEngine::resolve`],
-/// [`StealEngine::forward_of`], [`StealEngine::frees_new`]) and record
-/// installs/free-captures into per-worker vectors that the main thread
-/// folds back in node order.
+/// Owned by the driver and mutated only between node steps; a stepping
+/// node sees the read-only lookups ([`StealEngine::resolve`],
+/// [`StealEngine::forward_of`], [`StealEngine::frees_new`]) through a
+/// [`StealView`].
 #[derive(Debug)]
 pub struct StealEngine {
     topo: MeshTopology,
@@ -346,7 +343,7 @@ impl StealEngine {
     /// One serial-phase steal pass over the whole mesh.
     ///
     /// Runs at a fixed point of the global cycle (after the arrival
-    /// pump, before the execute phase) in all three drivers. Decisions
+    /// pump, before the execute phase) in both drivers. Decisions
     /// read only machine state as of this cycle; every mutation —
     /// victim unlink, target allocator, census, directory — happens
     /// here, serially, in node order.

@@ -1,12 +1,18 @@
-//! The fast-forward gate: the event-horizon driver must be bit-identical
-//! to the lockstep driver in every observable — cycle counts, results,
-//! heap arrays, per-node machine counters and access counts, NI stall
-//! cycles, run-length activity timelines, fabric statistics, queue
-//! auto-sizing, and recorded access traces. Any gap means the
-//! fast-forward skipped a cycle that was not actually a no-op.
+//! The active-set gate: the default driver — runnable-set stepping,
+//! occupied-buffer retirement, lazy activity timelines, and event-horizon
+//! fast-forward — must be bit-identical to the lockstep driver in every
+//! observable: cycle counts, results, heap arrays, per-node machine
+//! counters and access counts, NI stall cycles, run-length activity
+//! timelines, fabric statistics, queue auto-sizing, and recorded access
+//! traces. Any gap means the active-set driver skipped a node, a buffer,
+//! or a cycle that was not actually a no-op.
 
 use tamsim_core::Implementation;
-use tamsim_net::{MeshExperiment, MeshRunResult, NetConfig, NetTraceMode, PlacementPolicy};
+use tamsim_mdp::HaltReason;
+use tamsim_net::{
+    MeshExperiment, MeshRunResult, NetConfig, NetTraceMode, OriginDist, PlacementPolicy,
+    ServeConfig,
+};
 use tamsim_programs as programs;
 use tamsim_tam::Program;
 
@@ -240,5 +246,112 @@ fn recorded_traces_are_bit_identical() {
             assert_eq!(l.len(), f.len(), "node {n} trace length differs: {ctx}");
             assert!(l.iter().eq(f.iter()), "node {n} trace events differ: {ctx}");
         }
+    }
+}
+
+/// Past 16 nodes the pre-widening node tag would have overflowed into the
+/// sign bit; a 40-node run exercises `falloc`/`ffree` round-trips through
+/// tags 17..39 under both placement policies, and the live-frame census
+/// must drain identically under both drivers.
+#[test]
+fn forty_node_falloc_ffree_round_trip() {
+    let program = programs::fib(13);
+    for policy in [PlacementPolicy::RoundRobin, PlacementPolicy::LocalityAware] {
+        let exp = MeshExperiment::new(Implementation::Md, 40).with_placement(policy);
+        let lock = exp.lockstep().run(&program);
+        let fast = exp.run(&program);
+        let ctx = format!("fib(13) on 40 nodes ({policy:?})");
+        assert_bit_identical(&lock, &fast, &ctx);
+        // Frames were genuinely spread past node 16 and freed again.
+        assert!(fast.net.delivered_msgs > 0, "no cross-node traffic: {ctx}");
+        assert!(
+            fast.live_frames.len() == 40,
+            "census must cover all 40 nodes: {ctx}"
+        );
+    }
+}
+
+/// The node that halted a batch run, from its machine counters.
+fn halting_node(r: &MeshRunResult) -> usize {
+    r.stats
+        .iter()
+        .position(|s| s.halt == HaltReason::Explicit)
+        .expect("batch run halts explicitly")
+}
+
+/// Wide meshes, where the active set is a small fraction of the nodes:
+/// the widened tag must carry 64- and 256-node runs, and the active-set
+/// driver must match lockstep at the far end of the scale. Covers a halt
+/// landing mid-cycle on a node other than the last (the nodes after it
+/// never step in the halt cycle, so their timelines end one cycle
+/// early), and a hop latency of 1 under saturation, where buffers drain
+/// and refill every few cycles and ready heads sit stuck behind full
+/// neighbours.
+#[test]
+fn large_mesh_active_set_matches_lockstep() {
+    let saturated = NetConfig {
+        hop_latency: 1,
+        link_capacity: 8,
+        inject_capacity: 8,
+        recv_capacity: 8,
+        ..NetConfig::default()
+    };
+    for nodes in [64, 256] {
+        for (program, net) in [
+            (programs::fib(12), NetConfig::default()),
+            (programs::mmt(10), NetConfig::default()),
+            (programs::fib(11), saturated),
+            (programs::mmt(10), saturated),
+        ] {
+            let exp = MeshExperiment::new(Implementation::Md, nodes).with_net(net);
+            let lock = exp.lockstep().run(&program);
+            let fast = exp.run(&program);
+            let ctx = format!("{} on {nodes} nodes ({net:?})", program.name);
+            assert_bit_identical(&lock, &fast, &ctx);
+
+            let h = halting_node(&fast);
+            assert!(h + 1 < nodes as usize, "halt on the last node: {ctx}");
+            for (n, track) in fast.activity.iter().enumerate() {
+                let covered: u64 = track.spans.iter().map(|s| s.cycles).sum();
+                let expect = if n > h { fast.cycles - 1 } else { fast.cycles };
+                assert_eq!(covered, expect, "node {n} timeline length: {ctx}");
+            }
+            if net == saturated {
+                assert!(
+                    fast.net.inject_stalls > 0
+                        && fast.link_stats.iter().any(|l| l.stall_cycles > 0),
+                    "saturated fabric never stalled: {ctx}"
+                );
+            }
+        }
+    }
+}
+
+/// Serving with work stealing on a wide mesh: every request lands on
+/// corner node 0, frames migrate across the mesh, and the active-set
+/// driver must match lockstep — records, stats, timelines, and steals.
+#[test]
+fn wide_steal_serve_matches_lockstep() {
+    let program = programs::fib(8);
+    let cfg = ServeConfig {
+        origins: OriginDist::Corner,
+        ..ServeConfig::new(5_000, 24, 0xA11CE)
+    };
+    for nodes in [64, 256] {
+        let exp = MeshExperiment::new(Implementation::Am, nodes)
+            .with_placement(PlacementPolicy::WorkStealing);
+        let lock = exp.lockstep().serve(&program, &cfg);
+        let fast = exp.serve(&program, &cfg);
+        let ctx = format!("corner serve under steal on {nodes} nodes");
+        assert_eq!(
+            lock.records, fast.records,
+            "completion records differ: {ctx}"
+        );
+        assert_bit_identical(&lock.mesh, &fast.mesh, &ctx);
+        assert_eq!(lock.mesh.steals, fast.mesh.steals, "steals differ: {ctx}");
+        assert!(
+            fast.mesh.steals.iter().sum::<u64>() > 0,
+            "no frames migrated: {ctx}"
+        );
     }
 }
